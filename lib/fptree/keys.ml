@@ -45,6 +45,18 @@ module type KEY = sig
       cell, leaving persistence to the caller. *)
 
   val matches : ctx -> off:int -> t -> bool
+  (** [equal (read ctx ~off) k], compared in place: allocates nothing. *)
+
+  val handle : ctx -> off:int -> int
+  (** An allocation-free handle on the key at cell [off] for
+      {!compare_handles}: a fixed key is its own handle; a var key's is
+      the offset of its key block, or [-1] when the cell reads as the
+      empty key.  Taking a handle loads the key's first word, so a pass
+      of [handle] over a leaf's slots is a run of independent loads. *)
+
+  val compare_handles : ctx -> int -> int -> int
+  (** In-place [compare] of the keys behind two handles: agrees with
+      [compare] on the keys {!read} returns for the same cells. *)
 
   val cell_ref : ctx -> off:int -> Pmem.Pptr.t option
   (** [Some p] for var keys (the pointer in the cell), [None] for
@@ -82,6 +94,8 @@ module Fixed : KEY with type t = int = struct
   let read ctx ~off = Scm.Region.read_word ctx.region off
   let write ctx ~off k = Scm.Region.write_word ctx.region off k
   let matches ctx ~off k = read ctx ~off = k
+  let handle = read
+  let compare_handles _ a b = Int.compare a b
   let cell_ref _ ~off:_ = None
   let move ctx ~src ~dst =
     Scm.Region.write_word ctx.region dst (Scm.Region.read_word ctx.region src)
@@ -101,22 +115,28 @@ module Var : KEY with type t = string = struct
   let fingerprint = Fingerprint.of_string
   let dram_bytes s = String.length s + 24 (* OCaml string header etc. *)
 
-  (* Defensive read: a concurrent dirty read can chase a pointer into a
-     block that was freed and reused; clamp and bounds-check so the
-     worst outcome is a key that matches nothing. *)
-  let read ctx ~off =
-    let p = Pmem.Pptr.read ctx.region off in
-    if Pmem.Pptr.is_null p || p.Pmem.Pptr.region_id <> Scm.Region.id ctx.region
-    then ""
+  (* Defensive decode: a concurrent dirty read can chase a pointer into
+     a block that was freed and reused; clamp and bounds-check so the
+     worst outcome is a key that matches nothing.  The offset of the
+     well-formed key block behind cell [off], or -1 (read as ""). *)
+  let block ctx ~off =
+    let r = ctx.region in
+    let id = Pmem.Pptr.region_id_at r off in
+    let base = Pmem.Pptr.off_at r off in
+    if id = 0 || id <> Scm.Region.id r then -1
+    else if base < 0 || base + 8 > Scm.Region.size r then -1
     else
-      let base = p.Pmem.Pptr.off in
-      if base < 0 || base + 8 > Scm.Region.size ctx.region then ""
-      else
-        let len = Int64.to_int (Scm.Region.read_int64 ctx.region base) in
-        if len <= 0 || len > max_var_key_len
-           || base + 8 + len > Scm.Region.size ctx.region
-        then ""
-        else Scm.Region.read_string ctx.region (base + 8) len
+      let len = Scm.Region.read_word r base in
+      if len <= 0 || len > max_var_key_len || base + 8 + len > Scm.Region.size r
+      then -1
+      else base
+
+  let read ctx ~off =
+    let b = block ctx ~off in
+    if b < 0 then ""
+    else
+      Scm.Region.read_string ctx.region (b + 8)
+        (Scm.Region.read_word ctx.region b)
 
   let write ctx ~off k =
     let len = String.length k in
@@ -132,7 +152,25 @@ module Var : KEY with type t = string = struct
     Scope.persist_in_scope ctx.region base (8 + len);
     Scope.leave c
 
-  let matches ctx ~off k = String.equal (read ctx ~off) k
+  let matches ctx ~off k =
+    let b = block ctx ~off in
+    if b < 0 then String.length k = 0
+    else
+      Scm.Region.compare_string ctx.region (b + 8)
+        (Scm.Region.read_word ctx.region b) k
+      = 0
+
+  let handle = block
+
+  (* A -1 handle is the empty key, below every well-formed one, whose
+     block offsets are all >= 0. *)
+  let compare_handles ctx a b =
+    if a < 0 || b < 0 then Int.compare a b
+    else
+      let r = ctx.region in
+      Scm.Region.compare_span r (a + 8) (Scm.Region.read_word r a) (b + 8)
+        (Scm.Region.read_word r b)
+
   let cell_ref ctx ~off = Some (Pmem.Pptr.read ctx.region off)
 
   let move ctx ~src ~dst =

@@ -36,6 +36,17 @@ module type KEY = sig
       persist the content; fixed keys just write the cell. *)
 
   val matches : ctx -> off:int -> t -> bool
+  (** [equal (read ctx ~off) k], compared in place: allocates nothing. *)
+
+  val handle : ctx -> off:int -> int
+  (** Allocation-free handle on the key at cell [off] for
+      {!compare_handles}: a fixed key itself, a var key's block offset
+      ([-1] when the cell reads as the empty key).  Taking one loads the
+      key's first word. *)
+
+  val compare_handles : ctx -> int -> int -> int
+  (** In-place [compare] of the keys behind two handles; agrees with
+      [compare] on what {!read} returns for the same cells. *)
 
   val cell_ref : ctx -> off:int -> Pmem.Pptr.t option
   (** [Some p] for out-of-line keys — drives the recovery leak audit. *)

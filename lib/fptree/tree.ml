@@ -1966,48 +1966,83 @@ module Make (K : Keys.KEY) = struct
     Obs.Attrib.restore_op ko;
     t
 
+  (* Leak audit of one empty slot holding a non-null key-block pointer
+     (Algorithm 17): the pointer is either a second reference to a
+     valid slot's block (the cell is reset) or the only one (the block
+     is freed). *)
+  let audit_empty_slot t leaf bm cell =
+    match K.cell_ref t.ctx ~off:cell with
+    | None -> ()
+    | Some p ->
+      let duplicate = ref false in
+      for s' = 0 to t.layout.Layout.m - 1 do
+        if bm land (1 lsl s') <> 0 then
+          match K.cell_ref t.ctx ~off:(key_cell t leaf s') with
+          | Some p' when Pptr.equal p p' -> duplicate := true
+          | _ -> ()
+      done;
+      if !duplicate then K.reset_ref t.ctx ~off:cell
+      else K.dealloc t.ctx ~off:cell
+
+  (* The per-leaf recovery work: lock reset, leak audit, and the leaf's
+     greatest key (its discriminator in the inner nodes).  The key
+     handles of all valid slots are taken first, in one tight pass:
+     for var keys each is a load from a different key block, and with
+     no dependence between them the core overlaps the cache misses.
+     The greatest key is then found by comparing handles in place, and
+     only that one key is read out. *)
+  let recover_leaf t handles leaf =
+    let r = region t in
+    let m = t.layout.Layout.m in
+    Region.write_u8 r (leaf + t.layout.Layout.lock_off) 0;
+    let bm = leaf_bitmap t leaf in
+    for s = 0 to m - 1 do
+      if bm land (1 lsl s) <> 0 then
+        handles.(s) <- K.handle t.ctx ~off:(key_cell t leaf s)
+    done;
+    let best = ref (-1) in
+    for s = 0 to m - 1 do
+      if bm land (1 lsl s) <> 0 then begin
+        if !best < 0 || K.compare_handles t.ctx handles.(s) handles.(!best) > 0
+        then best := s
+      end
+      else if not (K.inline || Pptr.is_null_at r (key_cell t leaf s)) then
+        audit_empty_slot t leaf bm (key_cell t leaf s)
+    done;
+    let max_key = if !best < 0 then K.dummy else read_key t leaf !best in
+    (max_key, Inner.leaf_ref leaf)
+
+  (* The leaf chain in list order, as offsets.  Pointer chasing: each
+     load depends on the one before, so this walk stays serial. *)
+  let leaf_offsets t =
+    let acc = ref [] in
+    iter_leaves t (fun leaf -> acc := leaf :: !acc);
+    Array.of_list (List.rev !acc)
+
   (* Rebuild the volatile side from the persistent leaves: Algorithm 9
-     (and the leak audit of Algorithm 17 for var keys). *)
+     (and the leak audit of Algorithm 17 for var keys), in three
+     phases: the serial chain walk, the per-leaf work on as many
+     domains as {!Recovery_workers.domains} allows, and the serial
+     inner-node build. *)
   let rebuild_volatile t =
-    (* Walk the leaf list: discriminators, leak audit, lock resets. *)
-    let leaves = ref [] in
-    let in_list = Hashtbl.create 1024 in
-    iter_leaves t (fun leaf ->
-        Hashtbl.replace in_list leaf ();
-        Region.write_u8 (region t) (leaf + t.layout.Layout.lock_off) 0;
-        let bm = leaf_bitmap t leaf in
-        let max_key = ref None in
-        for s = 0 to t.layout.Layout.m - 1 do
-          let cell = key_cell t leaf s in
-          if bm land (1 lsl s) <> 0 then begin
-            let k = read_key t leaf s in
-            match !max_key with
-            | None -> max_key := Some k
-            | Some mk -> if K.compare k mk > 0 then max_key := Some k
-          end
-          else
-            (* Leak audit for out-of-line keys (Algorithm 17). *)
-            match K.cell_ref t.ctx ~off:cell with
-            | None | Some { Pptr.region_id = 0; _ } -> ()
-            | Some p ->
-              let duplicate = ref false in
-              for s' = 0 to t.layout.Layout.m - 1 do
-                if bm land (1 lsl s') <> 0 then
-                  match K.cell_ref t.ctx ~off:(key_cell t leaf s') with
-                  | Some p' when Pptr.equal p p' -> duplicate := true
-                  | _ -> ()
-              done;
-              if !duplicate then K.reset_ref t.ctx ~off:cell
-              else K.dealloc t.ctx ~off:cell
-        done;
-        match !max_key with
-        | Some mk -> leaves := (mk, Inner.leaf_ref leaf) :: !leaves
-        | None -> leaves := (K.dummy, Inner.leaf_ref leaf) :: !leaves);
-    let arr = Array.of_list (List.rev !leaves) in
+    let leaves = leaf_offsets t in
+    let n = Array.length leaves in
+    let entries = Array.make n (K.dummy, Inner.leaf_ref (-1)) in
+    Recovery_workers.run
+      ~domains:(Recovery_workers.domains (region t) ~leaves:n)
+      n
+      (fun lo hi ->
+        let handles = Array.make t.layout.Layout.m 0 in
+        for i = lo to hi - 1 do
+          entries.(i) <- recover_leaf t handles leaves.(i)
+        done);
     t.inner <-
-      Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~dummy_key:K.dummy arr;
+      Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~dummy_key:K.dummy
+        entries;
     (* Rebuild the volatile free-leaf pool from the group list. *)
     if t.config.use_groups then begin
+      let in_list = Hashtbl.create n in
+      Array.iter (fun leaf -> Hashtbl.replace in_list leaf ()) leaves;
       clear_free_pool t;
       Hashtbl.reset t.leaf_group;
       Hashtbl.reset t.group_free;

@@ -212,25 +212,8 @@ exception Alloc_injected
    now raises {!Alloc_injected} before any persistent mutation —
    allocation exhaustion mid-operation, exercising callers'
    no-leak abort paths. *)
-let alloc_fail_nth = ref None
-let alloc_fail_count = ref 0
-
-let schedule_alloc_failure n =
-  alloc_fail_count := 0;
-  alloc_fail_nth := Some n
-
-let cancel_alloc_failure () = alloc_fail_nth := None
-
-let alloc_fires () =
-  match !alloc_fail_nth with
-  | None -> false
-  | Some n ->
-    incr alloc_fail_count;
-    if !alloc_fail_count >= n then begin
-      alloc_fail_nth := None;
-      true
-    end
-    else false
+let schedule_alloc_failure n = Scm.Config.(arm alloc_failure n)
+let cancel_alloc_failure () = Scm.Config.(disarm alloc_failure)
 
 (* ---- exhaustion injection ---- *)
 
@@ -239,26 +222,9 @@ let alloc_fires () =
    (Alloc_injected models a crash; Out_of_scm models a full arena the
    process must survive).  Fires before any persistent mutation, like
    the real bump-pointer check. *)
-let out_of_scm_nth = ref None
-let out_of_scm_count = ref 0
-
-let schedule_out_of_scm n =
-  out_of_scm_count := 0;
-  out_of_scm_nth := Some n
-
-let cancel_out_of_scm () = out_of_scm_nth := None
-let out_of_scm_armed () = !out_of_scm_nth <> None
-
-let out_of_scm_fires () =
-  match !out_of_scm_nth with
-  | None -> false
-  | Some n ->
-    incr out_of_scm_count;
-    if !out_of_scm_count >= n then begin
-      out_of_scm_nth := None;
-      true
-    end
-    else false
+let schedule_out_of_scm n = Scm.Config.(arm out_of_scm n)
+let cancel_out_of_scm () = Scm.Config.(disarm out_of_scm)
+let out_of_scm_armed () = Scm.Config.(armed out_of_scm)
 
 (* ---- allocation ---- *)
 
@@ -266,8 +232,8 @@ let alloc t ~(into : Pptr.Loc.loc) size =
   if size <= 0 then invalid_arg "Palloc.alloc: size must be positive";
   let units = (size + unit_size - 1) / unit_size in
   if units > max_units then invalid_arg "Palloc.alloc: size too large";
-  if alloc_fires () then raise Alloc_injected;
-  if out_of_scm_fires () then raise Out_of_scm;
+  if Scm.Config.(fires alloc_failure) then raise Alloc_injected;
+  if Scm.Config.(fires out_of_scm) then raise Out_of_scm;
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) @@ fun () ->
   let sc = Obs.Attrib.set_component Obs.Attrib.comp_alloc_meta in

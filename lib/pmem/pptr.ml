@@ -53,8 +53,10 @@ let read r off =
   let o = Scm.Region.read_word r (off + 8) in
   { region_id; off = o }
 
-(** Non-allocating null probe: just the id word, no {!t} record. *)
-let is_null_at r off = Scm.Region.read_word r off = 0
+(** Non-allocating reads of one stored word: no {!t} record. *)
+let region_id_at r off = Scm.Region.read_word r off
+
+let is_null_at r off = region_id_at r off = 0
 
 (** Non-allocating offset read (valid only when the pointer is not
     null; the region id is not checked). *)

@@ -34,6 +34,10 @@ val resolve : t -> Scm.Region.t * int
 
 val read : Scm.Region.t -> int -> t
 
+(** [region_id_at r off] reads just the region-id word of the pointer
+    stored at [off] (0 for null) without materializing a {!t} record. *)
+val region_id_at : Scm.Region.t -> int -> int
+
 (** [is_null_at r off] probes the id word of the pointer stored at
     [off] without materializing a {!t} record (hot paths). *)
 val is_null_at : Scm.Region.t -> int -> bool

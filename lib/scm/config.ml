@@ -246,6 +246,41 @@ let torn_fires () =
     end
     else false
 
+(* ---- allocation-failure countdowns ---- *)
+
+(* The allocator's two injectors ([Pmem.Palloc.schedule_alloc_failure]
+   and [schedule_out_of_scm]) keep their state here, beside the other
+   injectors, so that {!injector_armed} sees every armed fault. *)
+type countdown = { mutable nth : int option; mutable count : int }
+
+let alloc_failure = { nth = None; count = 0 }
+let out_of_scm = { nth = None; count = 0 }
+
+let arm c n =
+  c.count <- 0;
+  c.nth <- Some n
+
+let disarm c = c.nth <- None
+let armed c = c.nth <> None
+
+let fires c =
+  match c.nth with
+  | None -> false
+  | Some n ->
+    c.count <- c.count + 1;
+    if c.count >= n then begin
+      c.nth <- None;
+      true
+    end
+    else false
+
+let injector_armed () =
+  current.crash_after_persists <> None
+  || current.skip_nth_persist <> None
+  || current.torn_nth_store <> None
+  || armed alloc_failure
+  || armed out_of_scm
+
 (** Called by [Region.persist]; raises {!Crash_injected} at the armed
     persistence point. *)
 let on_persist () =

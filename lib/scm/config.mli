@@ -137,3 +137,28 @@ val torn_armed : unit -> bool
 (** Count one tearable store; [true] when it is the armed one (the
     injector disarms itself). *)
 val torn_fires : unit -> bool
+
+(** {1 Allocation-failure countdowns}
+
+    State of the allocator's injectors ([Pmem.Palloc.schedule_alloc_failure]
+    and [Pmem.Palloc.schedule_out_of_scm]), kept beside the injectors
+    above so that {!injector_armed} covers them too. *)
+
+type countdown
+
+val alloc_failure : countdown
+val out_of_scm : countdown
+
+(** [arm c n]: the [n]-th {!fires} from now (1-based) returns [true]. *)
+val arm : countdown -> int -> unit
+
+val disarm : countdown -> unit
+val armed : countdown -> bool
+
+(** Count one event; [true] when it is the armed one (the countdown
+    disarms itself). *)
+val fires : countdown -> bool
+
+(** [true] while any fault injector is armed: a scheduled crash, a
+    persist skip, a torn store or an allocation failure. *)
+val injector_armed : unit -> bool

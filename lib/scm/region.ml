@@ -312,6 +312,54 @@ let blit_to_bytes t off dst dst_off len =
     Bytes.blit t.buf off dst dst_off len
   end
 
+(* ---- in-place comparison ---- *)
+
+(* [a.[ao, ao+al)] against [b.[bo, bo+bl)] in [String.compare]'s order
+   (unsigned bytes, then length), without copying either side: equal
+   8-byte words are skipped whole, the first differing word is settled
+   byte by byte.  The [int64] equality is specialized by the compiler
+   to an unboxed compare, so nothing is allocated. *)
+let rec cmp_words a ao b bo n i =
+  if i + 8 <= n
+     && (unsafe_get_64 a (ao + i) : int64) = unsafe_get_64 b (bo + i)
+  then cmp_words a ao b bo n (i + 8)
+  else cmp_tail a ao b bo n i
+
+and cmp_tail a ao b bo n i =
+  if i >= n then 0
+  else
+    let c =
+      Int.compare
+        (Char.code (Bytes.unsafe_get a (ao + i)))
+        (Char.code (Bytes.unsafe_get b (bo + i)))
+    in
+    if c <> 0 then c else cmp_tail a ao b bo n (i + 1)
+
+let[@inline] cmp_bytes a ao al b bo bl =
+  let c = cmp_words a ao b bo (min al bl) 0 in
+  if c <> 0 then c else Int.compare al bl
+
+let compare_span t off1 len1 off2 len2 =
+  check t off1 len1;
+  check t off2 len2;
+  if not (fast_mode t) then begin
+    touch_lines t off1 len1;
+    touch_lines t off2 len2
+  end;
+  cmp_bytes t.buf off1 len1 t.buf off2 len2
+
+let compare_string t off len s =
+  check t off len;
+  if not (fast_mode t) then touch_lines t off len;
+  cmp_bytes t.buf off len (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* ---- parallel-safety ---- *)
+
+let parallel_safe t =
+  fast_mode t
+  && (not Config.current.model_check)
+  && not (Config.injector_armed ())
+
 (* ---- writes (land in the volatile cache; durable only after persist) ---- *)
 
 (* Payload-byte accounting for the wear report's write-amplification

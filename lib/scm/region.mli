@@ -46,6 +46,31 @@ val read_u32 : t -> int -> int
 val read_string : t -> int -> int -> string
 val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
 
+(** {1 In-place comparison}
+
+    Allocation-free orderings of region bytes, agreeing with
+    [String.compare] on the strings {!read_string} would return.  On
+    the instrumented path they touch exactly the lines {!read_string}
+    of the same spans would touch. *)
+
+(** [compare_span t off1 len1 off2 len2] orders [off1, off1+len1)
+    against [off2, off2+len2). *)
+val compare_span : t -> int -> int -> int -> int -> int
+
+(** [compare_string t off len s] orders [off, off+len) against [s]. *)
+val compare_string : t -> int -> int -> string -> int
+
+(** {1 Parallel safety} *)
+
+(** [true] when domains may work on this region at once: the region is
+    on its fast path (no stats, crash tracking, tracing or delay
+    injection, whose tables are not domain-safe), model checking is
+    off (its scheduler interleaves one domain), and no fault injector
+    is armed (see {!Config.injector_armed}: an injector counts events
+    in one global order).  Callers that split work over domains fall
+    back to one domain otherwise, so every checked run stays serial. *)
+val parallel_safe : t -> bool
+
 (** {1 Writes}
 
     Writes land in the simulated volatile cache: they are visible to

@@ -91,6 +91,34 @@ let test_find_no_alloc () =
     (Printf.sprintf "find_value allocates nothing (saw %.1f words)" dw)
     true (dw = 0.)
 
+(* The var-key leaf search compares each probed key block in place
+   ([Scm.Region.compare_string]), so a var-key lookup allocates nothing
+   either: hits, fingerprint false positives and misses alike. *)
+let test_var_find_no_alloc () =
+  fast_mode ();
+  Scm.Registry.clear ();
+  let t =
+    Fptree.Var.create_concurrent
+      (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ())
+  in
+  let n = 10_000 in
+  let key i = Printf.sprintf "key-%012d" (2 * i) in
+  let hits = Array.init n key in
+  let misses = Array.init n (fun i -> Printf.sprintf "key-%012d" ((2 * i) + 1)) in
+  Array.iteri (fun i k -> ignore (Fptree.Var.insert t k i)) hits;
+  for i = 0 to 99 do
+    ignore (Fptree.Var.find_value_exn t hits.(i))
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Fptree.Var.find_value_exn t hits.(i));
+    ignore (Fptree.Var.find_value t ~default:(-1) misses.(i))
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "Var.find_value_exn allocates nothing (saw %.1f words)" dw)
+    true (dw = 0.)
+
 (* Attribution scopes sit on every persisting path, so their open/close
    must never allocate: disabled (fast mode) they are a bool load and a
    branch, enabled two unsafe array writes — both zero minor words. *)
@@ -236,6 +264,8 @@ let () =
             test_scope_no_alloc;
           Alcotest.test_case "find_value is allocation-free" `Quick
             test_find_no_alloc;
+          Alcotest.test_case "Var.find_value_exn is allocation-free" `Quick
+            test_var_find_no_alloc;
         ] );
       ( "admission",
         [ Alcotest.test_case "watermark check is allocation-free" `Quick

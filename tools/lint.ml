@@ -22,6 +22,10 @@
    - [Domain.DLS.new_key] outside lib/htm and lib/obs: hidden
      per-domain cells are invisible state that breaks the checker's
      deterministic replay;
+   - [Domain.spawn] outside lib/workloads and lib/fptree's
+     recovery_workers.ml: every other layer runs on the domains its
+     caller gives it, so parallelism stays where it can be found (the
+     benchmark harness and the one recovery helper);
    - [Out_of_scm] outside lib/pmem and lib/fptree: allocator
      exhaustion crosses into application layers only as the typed
      [`Out_of_space] result ([Tree.guard_space] is the adapter), so a
@@ -220,6 +224,14 @@ let check_file path =
     bad "Domain.DLS.new_key"
       "per-domain state outside lib/htm and lib/obs: hidden DLS cells \
        escape the model checker's deterministic replay";
+  if not (in_lib "workloads" path
+          || (in_lib "fptree" path
+             && Filename.basename path = "recovery_workers.ml"))
+  then
+    bad "Domain.spawn"
+      "domain spawn outside lib/workloads and the recovery helper \
+       (lib/fptree/recovery_workers.ml): layers run on their caller's \
+       domains";
   if in_lib "fptree" path && Filename.basename path <> "scope.ml" then begin
     (* Both spellings: the preceding-'.' boundary means the short form
        does not match inside the qualified one. *)
