@@ -94,11 +94,19 @@ type 'k t = {
          pre-split root and miss every key above the new separator. *)
 }
 
+(* The one filler for child slots past [nkeys], which are never read.
+   It must be shared, not allocated per node: [Array.make] of more than
+   256 words around a young value forces a minor collection first, which
+   stops every running domain, and the single-threaded config's inner
+   nodes hold 513 children. *)
+let junk_ref = leaf_ref (-1)
+let junk_child = Leaf junk_ref
+
 let make_inner t =
   {
     nkeys = 0;
     keys = Array.make (t.fanout - 1) t.dummy_key;
-    children = Array.make t.fanout (Leaf (leaf_ref (-1)));
+    children = Array.make t.fanout junk_child;
     ver = Nv.fresh ();
     id = fresh_inner_id ();
   }
@@ -221,9 +229,7 @@ let split_inner t n =
   for i = mid to n.nkeys - 1 do
     n.keys.(i) <- t.dummy_key
   done;
-  for i = mid + 1 to n.nkeys do
-    n.children.(i) <- Leaf (leaf_ref (-1))
-  done;
+  Array.fill n.children (mid + 1) (n.nkeys - mid) junk_child;
   n.nkeys <- mid;
   (sep, right)
 
@@ -298,7 +304,7 @@ let remove_at n pos =
   Array.blit n.children (pos + 1) n.children pos (n.nkeys - pos);
   n.nkeys <- n.nkeys - 1;
   (* Drop the stale trailing reference so DRAM is not retained. *)
-  n.children.(n.nkeys + 1) <- Leaf (leaf_ref (-1))
+  n.children.(n.nkeys + 1) <- junk_child
 
 (** Unlink the leaf responsible for [key] from the inner structure
     (the leaf became empty and is being deleted).  Empty inner nodes
@@ -367,46 +373,40 @@ let remove_leaf t cmp key =
     each leaf's greatest key.  Nodes are packed to ~[fill] of fanout.
     Single-threaded (recovery): fresh version cells, no bumps. *)
 let rebuild ~fanout ~dummy_key ?(fill = 0.85) (leaves : ('k * leaf_ref) array) =
-  let t =
-    { fanout; dummy_key; root = Leaf (leaf_ref (-1)); root_ver = Nv.fresh () }
-  in
+  let t = { fanout; dummy_key; root = junk_child; root_ver = Nv.fresh () } in
   let n_leaves = Array.length leaves in
   if n_leaves = 0 then invalid_arg "Inner.rebuild: no leaves";
   let per_node = max 2 (min fanout (int_of_float (float_of_int fanout *. fill))) in
-  (* level: array of (max key, node) *)
-  let level =
-    Array.map (fun (k, l) -> (k, Leaf l)) leaves
-  in
-  let rec build level =
-    if Array.length level = 1 then snd level.(0)
-    else begin
-      let n = Array.length level in
-      let groups = (n + per_node - 1) / per_node in
-      let next =
-        Array.init groups (fun g ->
-            let base = g * per_node in
-            let cnt = min per_node (n - base) in
-            let node = make_inner t in
-            node.nkeys <- cnt - 1;
-            for i = 0 to cnt - 1 do
-              node.children.(i) <- snd level.(base + i);
-              if i < cnt - 1 then node.keys.(i) <- fst level.(base + i)
-            done;
-            (fst level.(base + cnt - 1), Inner node))
-      in
-      build next
-    end
-  in
-  let root =
-    match build level with
-    | Inner _ as r -> r
-    | Leaf _ as l ->
-      (* Single leaf: wrap in a root so the shape invariant holds. *)
+  (* Pack the [n] children of one level, the [i]th with greatest key
+     [key i], into nodes of [per_node]: the next level up, as separate
+     key and node arrays (filled from shared values, see [junk_child]).
+     Even one leaf gets an inner node above it, so the root is always
+     an inner node. *)
+  let pack n key child =
+    let groups = (n + per_node - 1) / per_node in
+    let keys = Array.make groups dummy_key in
+    let nodes = Array.make groups junk_child in
+    for g = 0 to groups - 1 do
+      let base = g * per_node in
+      let cnt = min per_node (n - base) in
       let node = make_inner t in
-      node.children.(0) <- l;
-      Inner node
+      node.nkeys <- cnt - 1;
+      for i = 0 to cnt - 1 do
+        node.children.(i) <- child (base + i);
+        if i < cnt - 1 then node.keys.(i) <- key (base + i)
+      done;
+      keys.(g) <- key (base + cnt - 1);
+      nodes.(g) <- Inner node
+    done;
+    (keys, nodes)
   in
-  t.root <- root;
+  let rec build (keys, nodes) =
+    let n = Array.length nodes in
+    if n = 1 then nodes.(0) else build (pack n (Array.get keys) (Array.get nodes))
+  in
+  t.root <-
+    build
+      (pack n_leaves (fun i -> fst leaves.(i)) (fun i -> Leaf (snd leaves.(i))));
   t
 
 (* ---- introspection ---- *)

@@ -22,6 +22,12 @@ type leaf_ref = {
 
 val leaf_ref : int -> leaf_ref
 
+val junk_ref : leaf_ref
+(** The shared filler for DRAM array slots that are never read, such as
+    child slots past [nkeys].  A filler is shared rather than allocated
+    per array because [Array.make] of more than 256 words around a young
+    value forces a minor collection first. *)
+
 type 'k node = Inner of 'k inner | Leaf of leaf_ref
 
 and 'k inner = {

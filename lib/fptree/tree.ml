@@ -2024,10 +2024,12 @@ module Make (K : Keys.KEY) = struct
      phases: the serial chain walk, the per-leaf work on as many
      domains as {!Recovery_workers.domains} allows, and the serial
      inner-node build. *)
+  let junk_entry = (K.dummy, Inner.junk_ref)
+
   let rebuild_volatile t =
     let leaves = leaf_offsets t in
     let n = Array.length leaves in
-    let entries = Array.make n (K.dummy, Inner.leaf_ref (-1)) in
+    let entries = Array.make n junk_entry in
     Recovery_workers.run
       ~domains:(Recovery_workers.domains (region t) ~leaves:n)
       n

@@ -107,7 +107,7 @@ let create ?(retry_threshold = 8) ?(backoff_ceiling = 1024) () =
     fallback = Mutex.create ();
     retry_threshold;
     backoff_ceiling;
-    jitter = Array.init (jitter_shards * jitter_stride) (fun _ -> Atomic.make 0);
+    jitter = Obs.Counter.atomics (jitter_shards * jitter_stride);
     aborts = Obs.Counter.make ();
     conflicts = Obs.Counter.make ();
     precise_conflicts = Obs.Counter.make ();

@@ -25,7 +25,18 @@ let shards = 64 (* power of two: slot = domain id land (shards - 1) *)
    with no slack for allocation order.) *)
 let stride = 8
 
-let make () = { slots = Array.init (shards * stride) (fun _ -> Atomic.make 0) }
+(* The filler of [atomics]' array before its cells are stored: shared,
+   so it is old whenever [atomics] runs after start-up. *)
+let filler = Atomic.make 0
+
+let atomics n =
+  let a = Array.make n filler in
+  for i = 0 to n - 1 do
+    a.(i) <- Atomic.make 0
+  done;
+  a
+
+let make () = { slots = atomics (shards * stride) }
 
 let[@inline] slot t =
   Array.unsafe_get t.slots

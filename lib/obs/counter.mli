@@ -16,3 +16,9 @@ val value : t -> int
 val per_shard : t -> (int * int) list
 
 val reset : t -> unit
+
+(** [atomics n] is [n] fresh atomics holding 0, allocated back to back.
+    Unlike [Array.init n (fun _ -> Atomic.make 0)], it does not force a
+    minor collection (which stops every domain) when the array is wider
+    than 256 words: the array is made around an old filler. *)
+val atomics : int -> int Atomic.t array

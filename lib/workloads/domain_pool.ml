@@ -7,7 +7,11 @@
 let now () = Obs.Clock.now_s ()
 
 (** [run ~domains f] spawns [domains] workers executing [f worker_id]
-    after a start barrier; returns elapsed seconds (start-to-last-join). *)
+    after a start barrier; returns elapsed seconds (start-to-last-join).
+    The caller parks in [Domain.join] meanwhile: fine for a benchmark's
+    clients, but a parked domain still takes part in every
+    stop-the-world collection, so library code that works alongside its
+    helpers uses [Fptree.Recovery_workers.run] instead. *)
 let run ~domains f =
   if domains < 1 then invalid_arg "Domain_pool.run";
   if domains = 1 then begin

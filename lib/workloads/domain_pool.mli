@@ -4,7 +4,11 @@
 
 val now : unit -> float
 
-(** [run ~domains f] returns the elapsed seconds. *)
+(** [run ~domains f] returns the elapsed seconds.  All [domains]
+    workers are spawned; the caller parks in [Domain.join] and still
+    takes part in every stop-the-world collection, so this is the
+    benchmark client harness only.  Library code that works alongside
+    its helpers uses [Fptree.Recovery_workers.run]. *)
 val run : domains:int -> (int -> unit) -> float
 
 (** [run_cpu ~domains f] returns [(wall, effective)] seconds, where

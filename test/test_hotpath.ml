@@ -251,6 +251,35 @@ let test_m64_concurrent_fill () =
     Alcotest.(check int) "value" i (F.find_value t ~default:(-1) (2 * i))
   done
 
+(* Inner nodes of the single-threaded config hold 513 children, and
+   [Array.make] that wide around a young filler forces a minor
+   collection, which stops every domain: neither the inner splits of a
+   growing tree nor a recovery rebuild (here on several domains) may
+   force one.  Sequential inserts leave half-full leaves, so 600k keys
+   give over 20k leaves. *)
+let test_no_forced_minor () =
+  fast_mode ();
+  Scm.Registry.clear ();
+  let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
+  let t = F.create_single a in
+  let (), forced =
+    Workloads.Forced_minors.count (fun () ->
+        for i = 0 to 599_999 do
+          ignore (F.insert t i i)
+        done)
+  in
+  let leaves = F.leaf_count t in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d leaves, %d inner nodes" leaves
+       (Fptree.Inner.inner_node_count t.F.inner))
+    true
+    (leaves >= 20_000 && Fptree.Inner.inner_node_count t.F.inner > 40);
+  Alcotest.(check int) "inserts with inner splits" 0 forced;
+  let a = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
+  let t', forced = Workloads.Forced_minors.count (fun () -> F.recover a) in
+  Alcotest.(check int) "recovered keys" 600_000 (F.count t');
+  Alcotest.(check int) "recovery" 0 forced
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -266,6 +295,8 @@ let () =
             test_find_no_alloc;
           Alcotest.test_case "Var.find_value_exn is allocation-free" `Quick
             test_var_find_no_alloc;
+          Alcotest.test_case "inner splits and recovery force no minor GC"
+            `Quick test_no_forced_minor;
         ] );
       ( "admission",
         [ Alcotest.test_case "watermark check is allocation-free" `Quick

@@ -2,8 +2,10 @@
    domains in fast mode and on one otherwise, and the two must rebuild
    the same tree from the same image; every checked configuration
    (instrumentation, model checking, an armed fault injector) must fall
-   back to one domain; and the domain helper must join every domain
-   before it re-raises a failure. *)
+   back to one domain; the domain helper must join every domain before
+   it re-raises a failure, and a run inside a multi-domain run stays on
+   its domain; and the TATP restart, which recovers its four indexes on
+   that helper, must rebuild the same database on any worker count. *)
 
 module Workers = Fptree.Recovery_workers
 module Palloc = Pmem.Palloc
@@ -242,10 +244,7 @@ let test_parallel_safe () =
   fast_mode ();
   Alcotest.(check bool) "disarmed again" true (Scm.Region.parallel_safe r);
   Alcotest.(check int) "too few leaves: one domain" 1
-    (Workers.domains r ~leaves:(2 * Workers.min_leaves_per_domain - 1));
-  Alcotest.(check int) "caller on a spawned domain: one domain" 1
-    (Domain.join
-       (Domain.spawn (fun () -> Workers.domains r ~leaves:1_000_000)))
+    (Workers.domains r ~leaves:(2 * Workers.min_leaves_per_domain - 1))
 
 let test_chunks_cover () =
   let n = 1000 in
@@ -289,6 +288,112 @@ let test_failure_joins_all () =
     Alcotest.(check bool) "slow helper joined before the re-raise" true
       (Atomic.get slow_done)
 
+(* A run started while a two-domain run is in progress — here from its
+   chunks, on the caller's domain and on a helper — is one chunk over
+   the whole range, on the domain that started it.  The outer run's
+   domain count stands, and once it returns a run may spawn again. *)
+let test_nested_run_stays () =
+  let inner = Array.make 2 [] in
+  Workers.run ~domains:2 2 (fun lo _ ->
+      let self = Domain.self () in
+      Workers.run ~domains:2 100 (fun a b ->
+          inner.(lo) <- (a, b, Domain.self () = self) :: inner.(lo)));
+  Array.iteri
+    (fun i chunks ->
+      Alcotest.(check (list (triple int int bool)))
+        (Printf.sprintf "outer chunk %d: one inner chunk, own domain" i)
+        [ (0, 100, true) ] chunks)
+    inner;
+  Alcotest.(check int) "last_domains is the outer run's" 2
+    (Workers.last_domains ());
+  let doms = Array.make 2 (Domain.self ()) in
+  Workers.run ~domains:2 2 (fun lo _ -> doms.(lo) <- Domain.self ());
+  Alcotest.(check bool) "a later run spawns again" true (doms.(0) <> doms.(1))
+
+(* ---- the TATP restart ---- *)
+
+module Tatp = Dbproto.Tatp
+module Index = Dbproto.Index
+
+(* 20k subscribers: about 75k call-forwarding keys, so the largest
+   index has enough leaves for a parallel rebuild of its own. *)
+let tatp_db =
+  lazy
+    (fast_mode ();
+     Scm.Registry.clear ();
+     Tatp.populate ~arena_bytes:(16 * 1024 * 1024) ~subscribers:20_000
+       Index.FPTree)
+
+let indexes (db : Tatp.db) =
+  [ db.Tatp.sub_index; db.Tatp.ai_index; db.Tatp.sf_index; db.Tatp.cf_index ]
+
+(* What a restarted database answers: each index's key count and the
+   results of a fixed stream of transactions. *)
+let answers db =
+  let rng = Random.State.make [| 7 |] in
+  ( List.map (fun (i : Index.t) -> i.Index.count ()) (indexes db),
+    List.init 5_000 (fun _ ->
+        let sink = ref 0 in
+        Tatp.run_one db rng sink;
+        !sink) )
+
+let restart_domains workers =
+  min workers (min 4 (Domain.recommended_domain_count ()))
+
+let test_restart_workers_agree () =
+  let db = Lazy.force tatp_db in
+  fast_mode ();
+  let before = answers db in
+  List.iter
+    (fun workers ->
+      let db', _ = Tatp.restart ~workers db in
+      (* On one worker the restart is no multi-domain run, so each
+         tree's rebuild may use domains of its own. *)
+      if restart_domains workers > 1 then
+        Alcotest.(check int)
+          (Printf.sprintf "workers:%d: domains used" workers)
+          (restart_domains workers) (Workers.last_domains ());
+      Alcotest.(check bool)
+        (Printf.sprintf "workers:%d: same key counts and answers" workers)
+        true
+        (answers db' = before))
+    [ 1; 2; 4 ]
+
+(* The call-forwarding index, which the calling domain recovers first,
+   gets an arena with no tree in it: its failure reaches the caller,
+   but only once every helper has recovered its indexes and been
+   joined — the same pattern as [test_failure_joins_all]. *)
+let test_restart_failure_joins_all () =
+  let db = Lazy.force tatp_db in
+  fast_mode ();
+  let no_tree =
+    { db.Tatp.cf_index with
+      Index.alloc = Some (Palloc.create ~size:(1024 * 1024) ()) }
+  in
+  let db = { db with Tatp.cf_index = no_tree } in
+  let self = (Domain.self () :> int) in
+  List.iter
+    (fun workers ->
+      Obs.Trace.clear ();
+      Alcotest.check_raises
+        (Printf.sprintf "workers:%d: the caller's failure" workers)
+        (Failure "Tree.recover: no tree in region")
+        (fun () -> ignore (Tatp.restart ~workers db));
+      let helper_rebuilds =
+        List.length
+          (List.filter
+             (fun (s : Obs.Trace.span) ->
+               s.Obs.Trace.name = "fptree.recovery.rebuild"
+               && s.Obs.Trace.domain <> self)
+             (Obs.Trace.dump ()))
+      in
+      let d = restart_domains workers in
+      Alcotest.(check int)
+        (Printf.sprintf "workers:%d: helpers finished before the re-raise"
+           workers)
+        (4 - (4 / d)) helper_rebuilds)
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "recovery"
     [ ( "serial-vs-parallel",
@@ -306,4 +411,11 @@ let () =
       ( "workers",
         [ Alcotest.test_case "chunks cover the range" `Quick test_chunks_cover;
           Alcotest.test_case "failures re-raised after every join" `Quick
-            test_failure_joins_all ] ) ]
+            test_failure_joins_all;
+          Alcotest.test_case "a run inside a run stays on its domain" `Quick
+            test_nested_run_stays ] );
+      ( "restart",
+        [ Alcotest.test_case "TATP restart on 1, 2 and 4 workers agrees"
+            `Quick test_restart_workers_agree;
+          Alcotest.test_case "TATP restart re-raises after every join"
+            `Quick test_restart_failure_joins_all ] ) ]

@@ -41,6 +41,23 @@ fi
 mixed=$(sed -n 's/.*"conc_mixed_speedup_2x": \([0-9.]*\).*/\1/p' "$HP_JSON")
 echo "   conc_find 2-domain speedup: ${speedup}x (conc_mixed: ${mixed}x)"
 
+echo "== fig12 restart (the N-worker restart forces no minor collection) =="
+# Array.make of more than 256 words around a young value forces a minor
+# collection, which stops every domain (DESIGN.md section 16); the
+# N-worker TATP restart must force none.  The 1-vs-N time ratio is
+# printed but not gated: it depends on how the host schedules domains.
+FIG12_OUT=/tmp/bench_check_fig12.txt
+dune exec bench/main.exe -- --scale "$SCALE" fig12 > "$FIG12_OUT"
+forced=$(sed -n 's/.*fig12_restart_forced_make_vect=\([0-9]*\).*/\1/p' "$FIG12_OUT")
+if [ -z "$forced" ]; then
+  echo "FAIL: fig12_restart_forced_make_vect missing from $FIG12_OUT"; exit 1
+fi
+if [ "$forced" -ne 0 ]; then
+  echo "FAIL: the N-worker restart forced $forced make_vect minor collections"
+  exit 1
+fi
+grep -E 'worker|fig12_restart_speedup' "$FIG12_OUT" | grep -v Figure | sed 's/^ */   /'
+
 echo "== trace-overhead (flight recorder must stay cheap and honest) =="
 # With the gate on, single-domain find throughput may cost at most 10%
 # (DESIGN.md overhead pin: ratio = on/off throughput >= 0.9).
