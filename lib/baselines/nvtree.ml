@@ -144,7 +144,7 @@ module Make (K : Fptree.Keys.KEY) = struct
       if i < 0 then None
       else begin
         let e = entry_off t leaf.off i in
-        if Scm.Config.current.Scm.Config.stats then t.key_probes <- t.key_probes + 1;
+        if Scm.Config.switches.Scm.Config.stats then t.key_probes <- t.key_probes + 1;
         if K.matches t.ctx ~off:(key_cell_off e) k then
           let live = Region.read_int64 r (flag_off e) = flag_live in
           let v = Int64.to_int (Region.read_int64 r (value_off e)) in

@@ -130,7 +130,7 @@ module Make (K : Fptree.Keys.KEY) = struct
     let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Scm.Config.current.Scm.Config.stats then t.key_probes <- t.key_probes + 1;
+      if Scm.Config.switches.Scm.Config.stats then t.key_probes <- t.key_probes + 1;
       if K.compare (read_key t node (slot t node mid)) k <= 0 then lo := mid + 1
       else hi := mid
     done;
@@ -142,7 +142,7 @@ module Make (K : Fptree.Keys.KEY) = struct
     if i < 0 then None
     else
       let e = slot t node i in
-      if Scm.Config.current.Scm.Config.stats then t.key_probes <- t.key_probes + 1;
+      if Scm.Config.switches.Scm.Config.stats then t.key_probes <- t.key_probes + 1;
       if K.matches t.ctx ~off:(entry_key_off t node e) k then Some (i, e) else None
 
   (* child covering k: entry of the last separator <= k, clamped to the

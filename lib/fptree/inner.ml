@@ -161,6 +161,23 @@ let find_leaf_rs rs cmp t key =
   Nv.observe_id rs t.root_ver 0;
   find_node_rs rs cmp t.root key
 
+(* [find_node_rs] carrying the tightest separator above [key]. *)
+let rec find_node_fence_rs rs cmp node key fence =
+  match node with
+  | Leaf l -> (l, fence)
+  | Inner n ->
+    Nv.observe_id rs n.ver n.id;
+    let i = child_index cmp n key in
+    find_node_fence_rs rs cmp n.children.(i) key
+      (if i < n.nkeys then Some n.keys.(i) else fence)
+
+(** {!find_leaf_rs} that also returns the leaf's upper fence: the
+    greatest key the leaf is responsible for, [None] for the rightmost
+    leaf.  Allocates the pair (range scans, not the find path). *)
+let find_leaf_fence_rs rs cmp t key =
+  Nv.observe_id rs t.root_ver 0;
+  find_node_fence_rs rs cmp t.root key None
+
 let rec rightmost_leaf = function
   | Leaf l -> l
   | Inner n -> rightmost_leaf n.children.(n.nkeys)

@@ -81,6 +81,14 @@ val find_leaf : ('k -> 'k -> int) -> 'k node -> 'k -> leaf_ref
 val find_leaf_rs :
   Htm.Node_versions.readset -> ('k -> 'k -> int) -> 'k t -> 'k -> leaf_ref
 
+(** {!find_leaf_rs} that also returns the leaf's upper fence: the
+    greatest key the leaf is responsible for, [None] for the rightmost
+    leaf.  Allocates the result pair.
+    @raise Htm.Node_versions.Conflict if a writer is inside a node. *)
+val find_leaf_fence_rs :
+  Htm.Node_versions.readset -> ('k -> 'k -> int) -> 'k t -> 'k ->
+  leaf_ref * 'k option
+
 val rightmost_leaf : 'k node -> leaf_ref
 val leftmost_leaf : 'k node -> leaf_ref
 

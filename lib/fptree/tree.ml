@@ -187,7 +187,7 @@ module Make (K : Keys.KEY) = struct
   let region t = t.ctx.Keys.region
   (* Shared-record stat writes ping-pong cache lines between domains;
      skip them when the simulator's counting is off (parallel runs). *)
-  let stats_on () = Scm.Config.current.Scm.Config.stats
+  let stats_on () = Scm.Config.switches.Scm.Config.stats
 
   let alloc t = t.ctx.Keys.alloc
 
@@ -725,7 +725,7 @@ module Make (K : Keys.KEY) = struct
 
   let split_leaf t (leaf : Inner.leaf_ref) =
     let instrumented = stats_on () in
-    let t0 = if instrumented then Obs.Trace.now_us () else 0. in
+    let t0 = if instrumented then Obs.Clock.now_us () else 0. in
     if instrumented then t.stats.leaf_splits <- t.stats.leaf_splits + 1;
     let log = Microlog.Pool.acquire t.split_logs in
     Microlog.set_fst log (pptr_of t leaf.Inner.off);
@@ -758,7 +758,7 @@ module Make (K : Keys.KEY) = struct
     Microlog.Pool.release t.split_logs log;
     if instrumented then
       Obs.Histogram.record Metrics.split_us
-        (int_of_float (Obs.Trace.now_us () -. t0));
+        (int_of_float (Obs.Clock.now_us () -. t0));
     if Obs.Gate.enabled () then
       Obs.Flight.split ~left:leaf.Inner.off ~right:fresh;
     (sep, Inner.leaf_ref fresh)
@@ -1077,10 +1077,12 @@ module Make (K : Keys.KEY) = struct
      fast path, so the begin/end pair (two reads) cannot fit the find
      path's pinned 10% tracing budget.  The traced find therefore
      emits one completed-op marker per call (one clock read, latency
-     sentinel -1) and takes the full measured pair on a ~1/16 sample —
-     every find still lands in the event stream, percentiles come from
-     the sample.  The tick is plain-mutable on purpose: cross-domain
-     races only perturb the sampling phase, never memory safety. *)
+     sentinel -1) and takes the full measured pair on one find in
+     [find_sample_every] (a power of two) — every find still lands in
+     the event stream, percentiles come from the sample.  The tick is
+     plain-mutable on purpose: cross-domain races only perturb the
+     sampling phase, never memory safety. *)
+  let find_sample_every = 16
   let find_sample_tick = ref 0
 
   (** [find_value_exn t k] is the raw hot-path lookup: the value bound
@@ -1092,9 +1094,7 @@ module Make (K : Keys.KEY) = struct
       let h = K.fingerprint k in
       let s = !find_sample_tick + 1 in
       find_sample_tick := s;
-      if s land ((1 lsl Scm.Config.current.Scm.Config.flight_sample_shift) - 1)
-         = 0
-      then begin
+      if s land (find_sample_every - 1) = 0 then begin
         (* sampled: begin/end pair, measured latency; the pair also
            keeps "find in flight" visible in crash dumps *)
         let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_find ~key:h in
@@ -1640,48 +1640,117 @@ module Make (K : Keys.KEY) = struct
   let leaf_locked_for t k =
     is_locked (Inner.find_leaf K.compare t.inner.Inner.root k)
 
-  (** Inclusive range scan via the leaf linked list.  Reads are dirty
-      (no leaf locks taken); the result is sorted.  The leaf chain is
-      in key order, so sorting each (unsorted) leaf's hits in place and
-      appending them to a growable buffer yields a sorted result with
-      no global cons-then-sort pass — O(hits) buffer space and one
-      final list build instead of O(n log n) list churn. *)
-  (* Start-leaf descent for a range scan, on the per-node protocol
-     (the walk itself reads dirty, as before). *)
-  let rec range_start t lo attempt =
+  (* ---- range scan ---- *)
+
+  (* A range scan reads one leaf at a time, and validates each leaf
+     read like a find: the descent records the path's versions and
+     returns the leaf's upper fence, and the leaf's own version word
+     brackets the content reads.  A validated leaf read is a consistent
+     snapshot of the keys in its fence interval, so even while writers
+     split leaves inside [lo, hi] the scan returns strictly increasing
+     keys and never misses a key that stays present.  (The persistent
+     next pointers are not followed: a walk that reads a leaf's bitmap
+     before a split and its next pointer after it returns the upper
+     half twice.)  The next leaf is the one for the keys just above the
+     fence: [above] descends past separators equal to the probe. *)
+  let above a b =
+    let c = K.compare a b in
+    if c = 0 then 1 else c
+
+  (* Keys of [leaf] in [lo, hi] ([first]) or in (lo, hi] into [lk]/[lv].
+     Returns their count, or -1 when the leaf holds keys and all are
+     above [hi]: the scan stops there, as the chain walk did. *)
+  let collect_range t leaf ~first lo hi lk lv =
+    let bm = leaf_bitmap t leaf in
+    let n = ref 0 and le_hi = ref (bm = 0) in
+    for s = 0 to t.layout.Layout.m - 1 do
+      if bm land (1 lsl s) <> 0 then begin
+        let k = read_key t leaf s in
+        if K.compare k hi <= 0 then begin
+          le_hi := true;
+          let c = K.compare lo k in
+          if c < 0 || (first && c = 0) then begin
+            lk.(!n) <- k;
+            lv.(!n) <- read_value t leaf s;
+            incr n
+          end
+        end
+      end
+    done;
+    if !le_hi then !n else -1
+
+  (* One validated leaf read: the leaf for [probe] under [cmp], its
+     hits in [lk]/[lv], and its fence. *)
+  let rec range_leaf t cmp probe ~first hi lk lv attempt =
     if attempt >= Spec.retry_threshold t.spec then begin
       Spec.lock_fallback t.spec;
-      let leaf = Inner.find_leaf K.compare t.inner.Inner.root lo in
-      Spec.unlock_fallback t.spec;
-      leaf
+      range_leaf_locked t cmp probe ~first hi lk lv
     end
     else
-      let inner = t.inner in
       let rs = Nv.scratch () in
-      match Inner.find_leaf_rs rs K.compare inner lo with
-      | exception Nv.Conflict -> range_start_retry t lo attempt
+      match
+        let leaf, fence = Inner.find_leaf_fence_rs rs cmp t.inner probe in
+        Nv.observe_id rs leaf.Inner.ver leaf.Inner.off;
+        (collect_range t leaf.Inner.off ~first probe hi lk lv, fence)
+      with
+      | exception Nv.Conflict ->
+        range_leaf_retry t cmp probe ~first hi lk lv attempt
       | exception e ->
-        (* Trust the exception only if no writer raced us (same
-           discipline as [find_attempt]/[lock_attempt]): a torn read
-           during a racing structural update must retry, not escape to
-           the range caller. *)
+        (* Trust the exception only if no writer raced us, as in
+           [find_attempt]. *)
         if Nv.validate rs then raise e
-        else range_start_retry t lo attempt
-      | leaf ->
-        if Nv.validate rs then leaf
-        else range_start_retry t lo attempt
+        else range_leaf_retry t cmp probe ~first hi lk lv attempt
+      | r ->
+        if Nv.validate rs then r
+        else range_leaf_retry t cmp probe ~first hi lk lv attempt
 
-  and range_start_retry t lo attempt =
+  and range_leaf_retry t cmp probe ~first hi lk lv attempt =
     Spec.note_precise_conflict t.spec;
     note_precise_abort ();
     Spec.note_abort t.spec;
     Spec.backoff t.spec attempt;
-    range_start t lo (attempt + 1)
+    range_leaf t cmp probe ~first hi lk lv (attempt + 1)
 
+  (* Under the fallback mutex, with [find_fallback_locked]'s discipline:
+     structural writers are excluded, leaf writers are waited out on
+     the leaf's version word with the mutex released. *)
+  and range_leaf_locked t cmp probe ~first hi lk lv =
+    let leaf, fence = Inner.find_leaf_fence_rs (Nv.scratch ()) cmp t.inner probe in
+    let again () =
+      Spec.unlock_fallback t.spec;
+      Sched.await ~obj:(Sched.obj_ver leaf.Inner.off);
+      Spec.relax ();
+      Spec.relock_fallback t.spec;
+      range_leaf_locked t cmp probe ~first hi lk lv
+    in
+    Sched.point ~obj:(Sched.obj_ver leaf.Inner.off) ~write:false;
+    let v0 = Nv.read leaf.Inner.ver in
+    if Nv.is_busy v0 then again ()
+    else
+      let unchanged () =
+        Sched.point ~obj:(Sched.obj_ver leaf.Inner.off) ~write:false;
+        Nv.read leaf.Inner.ver = v0
+      in
+      match collect_range t leaf.Inner.off ~first probe hi lk lv with
+      | exception e ->
+        if unchanged () then begin
+          Spec.unlock_fallback t.spec;
+          raise e
+        end
+        else again ()
+      | n ->
+        if unchanged () then begin
+          Spec.unlock_fallback t.spec;
+          (n, fence)
+        end
+        else again ()
+
+  (** Inclusive range scan, sorted.  Each leaf's hits are sorted in
+      place and appended to a growable buffer (leaves are visited in
+      key order), then one list is built. *)
   let range_op t ~lo ~hi =
     if K.compare lo hi > 0 then []
     else begin
-      let start = range_start t lo 0 in
       let m = t.layout.Layout.m in
       let cap = ref 64 in
       let ks = ref (Array.make !cap K.dummy) in
@@ -1690,25 +1759,9 @@ module Make (K : Keys.KEY) = struct
       (* per-leaf scratch for the in-leaf sort *)
       let lk = Array.make m K.dummy in
       let lv = Array.make m 0 in
-      let rec walk leaf =
-        let bm = leaf_bitmap t leaf in
-        let any_le_hi = ref false in
-        let nonempty = bm <> 0 in
-        let nhits = ref 0 in
-        for s = 0 to m - 1 do
-          if bm land (1 lsl s) <> 0 then begin
-            let k = read_key t leaf s in
-            if K.compare k hi <= 0 then begin
-              any_le_hi := true;
-              if K.compare lo k <= 0 then begin
-                lk.(!nhits) <- k;
-                lv.(!nhits) <- read_value t leaf s;
-                incr nhits
-              end
-            end
-          end
-        done;
-        let nhits = !nhits in
+      let rec scan cmp probe ~first =
+        let n, fence = range_leaf t cmp probe ~first hi lk lv 0 in
+        let nhits = max n 0 in
         sort_by_key lk lv nhits;
         if !len + nhits > !cap then begin
           let cap' = max (!cap * 2) (!len + nhits) in
@@ -1723,15 +1776,11 @@ module Make (K : Keys.KEY) = struct
         Array.blit lk 0 !ks !len nhits;
         Array.blit lv 0 !vs !len nhits;
         len := !len + nhits;
-        if nonempty && not !any_le_hi then ()
-        else begin
-          (* probe the next pointer's words directly: no Pptr record *)
-          let noff = leaf + t.layout.Layout.next_off in
-          if not (Pptr.is_null_at (region t) noff) then
-            walk (Pptr.off_at (region t) noff)
-        end
+        match fence with
+        | Some u when n >= 0 -> scan above u ~first:false
+        | _ -> ()
       in
-      walk start.Inner.off;
+      scan K.compare lo ~first:true;
       let ks = !ks and vs = !vs in
       let rec build i acc =
         if i < 0 then acc else build (i - 1) ((ks.(i), vs.(i)) :: acc)
@@ -2168,19 +2217,19 @@ module Make (K : Keys.KEY) = struct
        recovery-time claim is that log replay is O(logs) and the DRAM
        rebuild dominates, linear in leaves). *)
     if not initialized then
-      Obs.Trace.with_span "fptree.recovery.init" (fun () ->
+      Obs.Flight.with_span "fptree.recovery.init" (fun () ->
           write_meta_config t cfg;
           complete_init t)
     else
-      Obs.Trace.with_span "fptree.recovery.log_replay" (fun () ->
+      Obs.Flight.with_span "fptree.recovery.log_replay" (fun () ->
           recover_getleaf t;
           recover_freeleaf t;
           Microlog.Pool.iter (recover_split t) t.split_logs;
           Microlog.Pool.iter (recover_delete t) t.delete_logs);
     if initialized && t.layout.Layout.checksums then
-      Obs.Trace.with_span "fptree.recovery.quarantine" (fun () ->
+      Obs.Flight.with_span "fptree.recovery.quarantine" (fun () ->
           quarantine_pass t);
-    Obs.Trace.with_span "fptree.recovery.rebuild" (fun () ->
+    Obs.Flight.with_span "fptree.recovery.rebuild" (fun () ->
         rebuild_volatile t);
     Obs.Attrib.restore_component kc;
     Obs.Attrib.restore_op ko;

@@ -6,7 +6,7 @@
     model checker needs to preempt the protocol at exactly those
     accesses.  This module is the seam: every shared access of the
     protocol goes through an instrumented operation here that, when
-    [Scm.Config.current.model_check] is on, first {e yields} to a
+    [Scm.Config.switches.model_check] is on, first {e yields} to a
     scheduler installed via {!install} (lib/mcheck's DPOR explorer —
     this library cannot depend on it, hence the hook record) and only
     performs the access when the scheduler resumes it.  When the gate
@@ -58,7 +58,7 @@ let hooks = ref noop_hooks
 let install h = hooks := h
 let uninstall () = hooks := noop_hooks
 
-let[@inline] on () = Scm.Config.current.model_check
+let[@inline] on () = Scm.Config.switches.model_check
 
 (* ---- object identities ---- *)
 

@@ -3,7 +3,7 @@
 
     Every shared access of the protocol (version cells, leaf-lock
     words, fallback mutex, root swap) routes through an operation here.
-    With [Scm.Config.current.model_check] off (production) each costs
+    With [Scm.Config.switches.model_check] off (production) each costs
     one load + branch over the raw [Atomic] call; with it on, the
     operation yields to the installed scheduler before performing the
     access, so a DPOR explorer controls the interleaving.  See the
@@ -21,12 +21,12 @@ type hooks = {
 
 val install : hooks -> unit
 (** Install the scheduler's hooks (lib/mcheck).  The hooks only fire
-    while [Scm.Config.current.model_check] is on. *)
+    while [Scm.Config.switches.model_check] is on. *)
 
 val uninstall : unit -> unit
 
 val on : unit -> bool
-(** [Scm.Config.current.model_check] — the gate every instrumented
+(** [Scm.Config.switches.model_check] — the gate every instrumented
     operation checks. *)
 
 (** {1 Object identities}

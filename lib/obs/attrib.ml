@@ -1,26 +1,26 @@
-(** SCM write attribution: a (component × op-kind) matrix of persist
-    traffic, charged by the instrumented [Scm.Region] paths.
+(** SCM traffic attribution: a (component × op-kind) matrix of the
+    simulator's counted SCM traffic, charged by the instrumented
+    [Scm.Region] paths.
 
     The paper's design argument is entirely about {e where} SCM writes
     land — fingerprints cut line reads, the micro-log bounds persists
     per split, leaf-only persistence keeps inner-node churn in DRAM —
-    yet the global [scm_*_total] counters can only say {e how many}.
-    This module answers {e which component caused them}: call sites in
+    so the counts are kept per cell, not as bare totals: call sites in
     [lib/fptree] / [lib/pmem] open an ambient, domain-local attribution
     scope naming the component being persisted (and the tree operation
-    in progress), and the instrumented store/flush/persist paths charge
-    bytes, flushed lines, flushes and persists to the matrix cell the
-    ambient scope names.
+    in progress), and every counted line read, byte stored, line
+    written back, flush, fence and persist is charged to the matrix
+    cell the ambient scope names.
 
     Discipline (mirrors [Pmtrace] / [Sched] gating):
 
-    - {b Exactness by construction.}  Every charge that increments a
-      global [scm_*_total] counter also increments exactly one matrix
-      cell — unscoped traffic lands in ([other], [other]) rather than
-      being dropped — so per-cell sums equal the global counters
-      {e exactly}, on any number of domains (cells are striped per
-      domain like {!Counter} shards).  Tests and the bench_check [wear]
-      stage enforce this equality.
+    - {b The matrix is the only copy.}  The global [scm_*_total]
+      counters ([Scm.Stats.snapshot], the registry's read-through
+      totals) are whole-matrix sums ({!total}), so they cannot drift
+      from the per-cell view.  Unscoped traffic lands in ([other],
+      [other]) rather than being dropped, and cells are striped per
+      domain like {!Counter} shards, so the sums are exact on any
+      number of domains.
     - {b Zero cost off, allocation-free on.}  With attribution disabled
       (fast mode), scope open/close is one [bool ref] load and a
       branch; nothing else runs.  Enabled, a scope is two unsafe array
@@ -30,11 +30,12 @@
       exception escaping between set and restore (crash injection)
       leaves the component set until the next scope overwrites it.
       That can misattribute a few charges after an injected crash but
-      can never lose one, so exactness survives.
+      can never lose one, so the totals stay exact.
 
     The matrix is exported through {!Registry} as labeled series
-    ([scm_attrib_*_total{component=...,op=...}]) that render in both
-    the Prometheus text format and the round-trippable JSON dump. *)
+    ([scm_attrib_*_total{component=...,op=...}]) and as their sums
+    ([scm_*_total]), in both the Prometheus text format and the
+    round-trippable JSON dump. *)
 
 (* ---- label taxonomy (closed sets; indices are wire-stable) ---- *)
 
@@ -69,13 +70,24 @@ let op_name =
      "reclaim" |]
 
 (* quantities charged per cell *)
-let q_bytes = 0    (* payload bytes stored (instrumented store paths) *)
-let q_lines = 1    (* cache lines written back by flushes *)
-let q_flushes = 2  (* CLFLUSH-equivalent calls *)
-let q_persists = 3 (* persist() calls *)
-let n_quants = 4
+let q_bytes = 0      (* payload bytes stored (instrumented store paths) *)
+let q_lines = 1      (* cache lines written back by flushes *)
+let q_flushes = 2    (* CLFLUSH-equivalent calls *)
+let q_persists = 3   (* persist() calls *)
+let q_line_reads = 4 (* SCM lines loaded on simulated cache misses *)
+let q_fences = 5     (* MFENCE-equivalent calls *)
+let n_quants = 6
 
-let quant_name = [| "store_bytes"; "line_writes"; "flushes"; "persists" |]
+let quant_name =
+  [| "store_bytes"; "line_writes"; "flushes"; "persists"; "line_reads";
+     "fences" |]
+
+let quant_help =
+  [| "payload bytes stored through instrumented region writes";
+     "SCM lines written back by flushes"; "CLFLUSH-equivalent calls";
+     "persist() calls (flush+fence pairs)";
+     "SCM lines loaded on simulated cache misses";
+     "MFENCE-equivalent calls" |]
 
 (* ---- state ---- *)
 
@@ -147,12 +159,10 @@ let[@inline] cell q =
   Array.unsafe_get cells
     ((((s * n_comps) + c) * n_ops + k) * n_quants + q)
 
-let[@inline] add_bytes n =
-  if n <> 0 then ignore (Atomic.fetch_and_add (cell q_bytes) n)
+let[@inline] incr q = Atomic.incr (cell q)
 
-let[@inline] add_line () = Atomic.incr (cell q_lines)
-let[@inline] add_flush () = Atomic.incr (cell q_flushes)
-let[@inline] add_persist () = Atomic.incr (cell q_persists)
+let[@inline] add q n =
+  if n <> 0 then ignore (Atomic.fetch_and_add (cell q) n)
 
 (* ---- read side ---- *)
 
@@ -175,8 +185,7 @@ let comp_total ~comp q =
   done;
   !acc
 
-(** Sum over the whole matrix: must equal the matching global
-    [scm_*_total] counter on instrumented runs. *)
+(** Sum over the whole matrix: the global [scm_*_total] counter. *)
 let total q =
   let acc = ref 0 in
   for comp = 0 to n_comps - 1 do
@@ -215,5 +224,9 @@ let () =
             (fun (comp, op, v) ->
               ( [ ("component", comp_name.(comp)); ("op", op_name.(op)) ],
                 v ))
-            (rows q)))
+            (rows q));
+      Registry.total
+        (Printf.sprintf "scm_%s_total" qn)
+        ~help:quant_help.(q)
+        (fun () -> total q))
     quant_name

@@ -1,13 +1,15 @@
-(** SCM write attribution: a (component × op-kind) matrix of persist
-    traffic charged by the instrumented [Scm.Region] paths.
+(** SCM traffic attribution: a (component × op-kind) matrix of the
+    simulator's counted SCM traffic, charged by the instrumented
+    [Scm.Region] paths.
 
     Call sites in [lib/fptree] / [lib/pmem] open ambient, domain-local
     scopes naming the component being persisted and the operation in
-    progress; [Scm.Stats] charges every byte / line / flush / persist
-    it counts to the matrix cell the ambient scope names.  Unscoped
-    traffic lands in ([comp_other], [op_other]) rather than being
-    dropped, so matrix sums equal the global [scm_*_total] counters
-    exactly — the headline invariant, test- and bench-enforced.
+    progress; [Scm.Stats] charges every line read, byte, line write,
+    flush, fence and persist it counts to the matrix cell the ambient
+    scope names.  Unscoped traffic lands in ([comp_other],
+    [op_other]) rather than being dropped.  The matrix is the only
+    copy of these counts: the global [scm_*_total] counters are its
+    sums ({!total}).
 
     Scopes are allocation-free and, with attribution disabled (fast
     mode), cost one [bool ref] load and a branch.  See attrib.ml for
@@ -47,7 +49,13 @@ val q_bytes : int
 val q_lines : int
 val q_flushes : int
 val q_persists : int
+val q_line_reads : int
+val q_fences : int
 val n_quants : int
+
+(** [quant_name.(q)] names quantity [q] in the registry: the matrix is
+    exported as [scm_attrib_<name>_total] labeled series and its sums
+    as [scm_<name>_total] counters. *)
 val quant_name : string array
 
 (** {1 Gating} — flipped by [Scm.Config.set_stats]. *)
@@ -71,10 +79,11 @@ val ambient_op : unit -> int
 
 (** {1 Charging} — called by [Scm.Stats] on the instrumented path. *)
 
-val add_bytes : int -> unit
-val add_line : unit -> unit
-val add_flush : unit -> unit
-val add_persist : unit -> unit
+(** [incr q] charges one unit of quantity [q] to the ambient cell. *)
+val incr : int -> unit
+
+(** [add q n] charges [n] units of quantity [q] to the ambient cell. *)
+val add : int -> int -> unit
 
 (** {1 Read side} *)
 
@@ -84,8 +93,7 @@ val value : comp:int -> op:int -> int -> int
 (** [comp_total ~comp q]: one component, summed over op kinds. *)
 val comp_total : comp:int -> int -> int
 
-(** [total q]: whole-matrix sum; equals the matching global
-    [scm_*_total] counter on instrumented runs. *)
+(** [total q]: whole-matrix sum — the global [scm_*_total] counter. *)
 val total : int -> int
 
 (** Non-zero cells of quantity [q] as [(comp, op, value)]. *)

@@ -39,9 +39,9 @@
     {2 Gating}
 
     The recorder has no switch of its own: emission sites gate on
-    [Obs.Gate] (with the generation-witness fast path where the call
-    rate warrants it).  The {!emit} family itself never checks the
-    gate — tests and cold paths may emit unconditionally. *)
+    [Obs.Gate.enabled ()], a single load.  The {!emit} family itself
+    never checks the gate — tests and cold paths may emit
+    unconditionally; {!with_span} checks it for its callers. *)
 
 (* ---- ring ---- *)
 
@@ -213,6 +213,18 @@ let name_of id =
 (** A completed span (e.g. a recovery phase): [t_us] is the start. *)
 let span ~name ~start_us ~dur_us =
   emit_at start_us ~tag:Event.span ~a:(intern name) ~b:dur_us ~c:0 ~d:0
+
+(** Run [f] and, when the gate is on, record its duration as a span
+    named [name], also when [f] raises.  With the gate off nothing is
+    recorded, so a recovery helper domain in fast mode allocates no
+    ring. *)
+let with_span name f =
+  if not (Gate.enabled ()) then f ()
+  else begin
+    let t0 = Clock.now_us_int () in
+    Fun.protect f ~finally:(fun () ->
+        span ~name ~start_us:t0 ~dur_us:(Clock.now_us_int () - t0))
+  end
 
 (* ---- drain ---- *)
 

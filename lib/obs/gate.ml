@@ -3,53 +3,13 @@
     paths).
 
     The SCM simulator's own instrumentation is governed by
-    [Scm.Config.current.stats]; this gate covers the layers above the
+    [Scm.Config]'s switches; this gate covers the layers above the
     simulator (kvstore / dbproto op latencies, the flight recorder)
-    that have no simulator mode of their own.  Reading the gate is a
-    single immutable-field load; callers on hot paths may additionally
-    cache the decision with the same generation-witness pattern
-    [Scm.Region] uses for its fast-mode switch — [generation] is
-    bumped on every change, so a cached witness is valid while the
-    generation it captured still matches.  {!cached_witness},
-    {!check} and {!decision} package that pattern:
-
-    {[
-      (* per-structure cache, initialised to 0 = always stale *)
-      mutable gate_w : int
-      ...
-      let w = t.gate_w in
-      let w = if Gate.check w then w
-              else (let w' = Gate.cached_witness () in t.gate_w <- w'; w') in
-      if Gate.decision w then <instrumented path>
-    ]}
-
-    The cached field is a word-sized mutable slot written without
-    synchronization; racing refreshes all install a witness of the
-    current generation, so the race is benign (same argument as
-    [Scm.Region.refresh_mode]). *)
+    that have no simulator mode of their own.  Hot paths read it
+    directly: {!enabled} is one load of a global [bool ref]. *)
 
 let flag = ref false
-let generation = ref 1
 
-let enabled () = !flag
+let[@inline] enabled () = !flag
 
-let set_enabled b =
-  if !flag <> b then begin
-    flag := b;
-    incr generation
-  end
-
-(* A witness packs (generation, decision) into one immediate int:
-   generation in the upper bits, the enabled bit in bit 0.  The
-   initial generation is 1, so the natural zero-initialisation of a
-   cached field is always stale and forces a first refresh. *)
-
-(** Capture the current (generation, decision) pair. *)
-let[@inline] cached_witness () = (!generation lsl 1) lor (if !flag then 1 else 0)
-
-(** [check w] is true iff witness [w] was captured under the current
-    generation — i.e. its cached decision is still valid. *)
-let[@inline] check w = w asr 1 = !generation
-
-(** The enabled/disabled decision recorded in witness [w]. *)
-let[@inline] decision w = w land 1 = 1
+let set_enabled b = flag := b

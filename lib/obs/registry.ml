@@ -23,6 +23,9 @@ type labeled = {
 
 type metric =
   | Counter of Counter.t
+  | Total of (unit -> int)
+      (** a counter kept elsewhere (e.g. a sum of the SCM attribution
+          matrix), read through; its owner resets it *)
   | Gauge of (unit -> int)
   | Histogram of Histogram.t
   | Labeled of labeled
@@ -58,14 +61,16 @@ let histogram ?(help = "") name =
   | _ -> invalid_arg (name ^ " is already registered as a non-histogram")
 
 let gauge ?(help = "") name f = ignore (register name help (Gauge f))
+let total ?(help = "") name f = ignore (register name help (Total f))
 
 let labeled ?(help = "") ?(reset = fun () -> ()) name read =
   ignore (register name help (Labeled { read; lreset = reset }))
 
 let all () = List.rev !entries
 
-(** Reset every counter and histogram (gauges are read-through) and
-    clear the span ring: one observation epoch ends, the next starts. *)
+(** Reset every counter, histogram and labeled family (gauges and
+    totals are read-through): one observation epoch ends, the next
+    starts. *)
 let reset_all () =
   List.iter
     (fun e ->
@@ -73,9 +78,8 @@ let reset_all () =
       | Counter c -> Counter.reset c
       | Histogram h -> Histogram.reset h
       | Labeled l -> l.lreset ()
-      | Gauge _ -> ())
-    (all ());
-  Trace.clear ()
+      | Total _ | Gauge _ -> ())
+    (all ())
 
 (* ---- Prometheus-style text exposition ---- *)
 
@@ -93,6 +97,9 @@ let to_text () =
         List.iter
           (fun (s, v) -> Printf.bprintf b "%s{shard=\"%d\"} %d\n" e.name s v)
           (Counter.per_shard c)
+      | Total f ->
+        Printf.bprintf b "# TYPE %s counter\n" e.name;
+        Printf.bprintf b "%s %d\n" e.name (f ())
       | Gauge f ->
         Printf.bprintf b "# TYPE %s gauge\n" e.name;
         Printf.bprintf b "%s %d\n" e.name (f ())
@@ -136,6 +143,8 @@ let json_of_metric = function
                (fun (s, v) -> (string_of_int s, Json.Int v))
                (Counter.per_shard c)) );
       ]
+  | Total f ->
+    Json.Obj [ ("type", Json.Str "counter"); ("total", Json.Int (f ())) ]
   | Gauge f -> Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Int (f ())) ]
   | Labeled l ->
     Json.Obj
@@ -177,14 +186,21 @@ let json_of_metric = function
                (Histogram.nonzero_buckets h)) );
       ]
 
-let json_of_span (s : Trace.span) =
-  Json.Obj
-    [
-      ("name", Json.Str s.Trace.name);
-      ("start_us", Json.Float s.Trace.start_us);
-      ("dur_us", Json.Float s.Trace.dur_us);
-      ("domain", Json.Int s.Trace.domain);
-    ]
+(* The flight recorder's span events (recovery phases, restarts). *)
+let spans () =
+  List.filter_map
+    (fun (e : Flight.event) ->
+      if e.tag <> Event.span then None
+      else
+        Some
+          (Json.Obj
+             [
+               ("name", Json.Str (Flight.name_of e.a));
+               ("start_us", Json.Float (float_of_int e.t_us));
+               ("dur_us", Json.Float (float_of_int e.b));
+               ("domain", Json.Int e.dom);
+             ]))
+    (Flight.drain ())
 
 let to_json_value () =
   Json.Obj
@@ -199,7 +215,7 @@ let to_json_value () =
                    Json.Obj (kvs @ [ ("help", Json.Str e.help) ])
                  | j -> j ))
              (all ())) );
-      ("spans", Json.Arr (List.map json_of_span (Trace.dump ())));
+      ("spans", Json.Arr (spans ()));
     ]
 
 let to_json () = Json.to_string (to_json_value ())

@@ -127,7 +127,7 @@ val bytes_live : t -> int
 val gross_bytes : int -> int
 
 (** [admit t ~reserve] is [true] iff the arena is below the
-    [Scm.Config] soft watermark and at least [reserve] bytes are free.
+    soft watermark (90% of the usable bytes) and at least [reserve] bytes are free.
     Callers size [reserve] to their worst-case allocation footprint so
     every admitted operation can complete.  Allocation-free. *)
 val admit : t -> reserve:int -> bool

@@ -26,16 +26,6 @@ type t = {
   mutable scm_read_ns : float;      (** SCM load latency (paper: 90–650). *)
   mutable scm_write_ns : float;     (** SCM store/flush latency. *)
   mutable dram_read_ns : float;     (** Baseline DRAM latency (paper: 90). *)
-  mutable crash_tracking : bool;
-      (** Track dirty words for crash simulation.  Off for concurrent
-          benches (the tracking table is not synchronized). *)
-  mutable stats : bool;             (** Count line accesses. *)
-  mutable delay_injection : bool;
-      (** Busy-wait [scm_read_ns - dram_read_ns] on each simulated SCM
-          miss, so wall-clock time directly reflects the latency knob. *)
-  mutable tracing : bool;
-      (** Record every SCM store, flush and persistence annotation in
-          {!Pmtrace} (the pmcheck sanitizer's input). *)
   mutable crash_after_persists : int option;
       (** [Some n]: the n-th subsequent persist raises {!Crash_injected}
           (1-based; [Some 1] fails the very next persist). *)
@@ -57,12 +47,6 @@ type t = {
   mutable torn_seed : int;
       (** Decides, deterministically, how many bytes of the torn store
           survive. *)
-  mutable model_check : bool;
-      (** Route every shared-memory access of the concurrency protocol
-          (version cells, leaf-lock words, fallback mutex, root swap)
-          through the {!Htm.Sched} shim so a cooperative model checker
-          can interleave them.  Production paths pay one load + branch
-          when off — same gating pattern as [tracing]. *)
   mutable backoff_seed : int option;
       (** [Some s]: [Speculative_lock] backoff jitter becomes a pure
           function of (s, attempt, domain slot) instead of the
@@ -70,41 +54,18 @@ type t = {
           seed produce identical [backoff_waits].  Pinned by the chaos
           and mcheck harnesses; [None] (default) keeps the
           cross-acquisition drift that de-synchronizes real domains. *)
-  mutable soft_watermark : float;
-      (** Capacity admission threshold as a fraction of the arena's
-          usable bytes: once live+bump usage passes this fraction,
-          allocating operations (inserts, splitting updates) are
-          refused with [`Out_of_space] while reads, in-place updates
-          and deletes keep running.  Plain field (gates no region
-          accessor, so no generation bump); default 0.9. *)
-  mutable flight_sample_shift : int;
-      (** Flight-recorder latency sampling: every [2^shift]-th find
-          records a measured begin/end pair with clock reads, the rest
-          a marker-only event (default 4, the historical 1/16 ratio).
-          Plain field — the sampling branch re-reads it per op, so no
-          generation bump; clamp is the caller's business ([0] means
-          every find is measured). *)
   mutable wear_heatmap : bool;
       (** Record a per-region, line-granularity shadow count of flushed
           lines (the spatial wear heatmap) on the instrumented persist
           path.  Plain field read inside the already-instrumented flush
-          loop, so no generation bump; off by default — the shadow
-          arrays cost size/64 words per region when first touched. *)
-  mutable heatmap_sample_shift : int;
-      (** Heatmap sampling: count every [2^shift]-th flushed line
-          (default 0 = exact counts).  Reported counts are scaled back
-          by [2^shift]; sampling trades spatial exactness for lower
-          instrumented-path cost on long runs. *)
+          loop; off by default — the shadow arrays cost size/64 words
+          per region when first touched. *)
 }
 
 let default () = {
   scm_read_ns = 90.;
   scm_write_ns = 90.;
   dram_read_ns = 90.;
-  crash_tracking = true;
-  stats = true;
-  delay_injection = false;
-  tracing = false;
   crash_after_persists = None;
   persist_count = 0;
   skip_nth_persist = None;
@@ -112,72 +73,83 @@ let default () = {
   torn_nth_store = None;
   torn_count = 0;
   torn_seed = 0;
-  model_check = false;
   backoff_seed = None;
-  soft_watermark = 0.9;
-  flight_sample_shift = 4;
   wear_heatmap = false;
-  heatmap_sample_shift = 0;
 }
 
 let current = default ()
 
-(* Bumped on every change to the instrumentation switches below.  Each
-   region captures (generation, fast?) as a witness when it is touched
-   and re-derives it only when the generation moved, so the hot-path
-   accessors pay one integer compare instead of re-reading the whole
-   configuration per access. *)
-let mode_generation = ref 1
+(* ---- instrumentation switches ---- *)
+
+type switches = {
+  mutable stats : bool;             (** Count line accesses. *)
+  mutable crash_tracking : bool;
+      (** Track dirty words for crash simulation.  Off for concurrent
+          benches (the tracking table is not synchronized). *)
+  mutable delay_injection : bool;
+      (** Busy-wait [scm_read_ns - dram_read_ns] on each simulated SCM
+          miss, so wall-clock time directly reflects the latency knob. *)
+  mutable tracing : bool;
+      (** Record every SCM store, flush and persistence annotation in
+          {!Pmtrace} (the pmcheck sanitizer's input). *)
+  mutable model_check : bool;
+      (** Route every shared-memory access of the concurrency protocol
+          (version cells, leaf-lock words, fallback mutex, root swap)
+          through the {!Htm.Sched} shim so a cooperative model checker
+          can interleave them. *)
+  mutable fast : bool;
+      (** Derived by [refresh_fast]: [stats], [crash_tracking],
+          [delay_injection] and [tracing] are all off, so every region
+          accessor takes its fast path. *)
+}
+
+let switches =
+  {
+    stats = true;
+    crash_tracking = true;
+    delay_injection = false;
+    tracing = false;
+    model_check = false;
+    fast = false;
+  }
+
+let refresh_fast () =
+  let s = switches in
+  s.fast <- not (s.stats || s.crash_tracking || s.delay_injection || s.tracing)
 
 let set_stats b =
   (* Attribution scopes gate on the same switch as the counters they
-     feed: unconditional, so a direct [current.stats] write followed by
-     a same-value [set_stats] still lands the gate in the right state. *)
+     feed. *)
   Obs.Attrib.set_enabled b;
-  if current.stats <> b then begin
-    current.stats <- b;
-    incr mode_generation
-  end
+  switches.stats <- b;
+  refresh_fast ()
 
 let set_crash_tracking b =
-  if current.crash_tracking <> b then begin
-    current.crash_tracking <- b;
-    incr mode_generation
-  end
+  switches.crash_tracking <- b;
+  refresh_fast ()
 
 let set_delay_injection b =
-  if current.delay_injection <> b then begin
-    current.delay_injection <- b;
-    incr mode_generation
-  end
+  switches.delay_injection <- b;
+  refresh_fast ()
 
 let set_tracing b =
-  if current.tracing <> b then begin
-    current.tracing <- b;
-    incr mode_generation
-  end
+  switches.tracing <- b;
+  refresh_fast ()
 
-let set_model_check b =
-  if current.model_check <> b then begin
-    current.model_check <- b;
-    incr mode_generation
-  end
+let set_model_check b = switches.model_check <- b
 
 let reset () =
   let d = default () in
   current.scm_read_ns <- d.scm_read_ns;
   current.scm_write_ns <- d.scm_write_ns;
   current.dram_read_ns <- d.dram_read_ns;
-  set_crash_tracking d.crash_tracking;
-  set_stats d.stats;
-  set_delay_injection d.delay_injection;
-  set_tracing d.tracing;
-  set_model_check d.model_check;
+  set_crash_tracking true;
+  set_stats true;
+  set_delay_injection false;
+  set_tracing false;
+  set_model_check false;
   current.backoff_seed <- d.backoff_seed;
-  current.soft_watermark <- d.soft_watermark;
-  current.flight_sample_shift <- d.flight_sample_shift;
   current.wear_heatmap <- d.wear_heatmap;
-  current.heatmap_sample_shift <- d.heatmap_sample_shift;
   current.crash_after_persists <- d.crash_after_persists;
   current.persist_count <- d.persist_count;
   current.skip_nth_persist <- d.skip_nth_persist;

@@ -18,10 +18,6 @@ type t = {
   mutable scm_read_ns : float;
   mutable scm_write_ns : float;
   mutable dram_read_ns : float;
-  mutable crash_tracking : bool;
-  mutable stats : bool;
-  mutable delay_injection : bool;
-  mutable tracing : bool;
   mutable crash_after_persists : int option;
   mutable persist_count : int;
   mutable skip_nth_persist : int option;
@@ -29,52 +25,46 @@ type t = {
   mutable torn_nth_store : int option;
   mutable torn_count : int;
   mutable torn_seed : int;
-  mutable model_check : bool;
-      (** Change through {!set_model_check} (generation-witnessed). *)
   mutable backoff_seed : int option;
       (** [Some s] pins [Speculative_lock] backoff jitter to a pure
           function of (s, attempt, domain slot), so equal-seed runs
           report identical [backoff_waits]; [None] (default) keeps the
           free-running per-domain Weyl sequence.  Set by direct field
           assignment (no hot path caches it). *)
-  mutable soft_watermark : float;
-      (** Capacity admission threshold as a fraction of the arena's
-          usable bytes (default 0.9): past it, allocating operations
-          are refused with [`Out_of_space] while reads, in-place
-          updates and deletes keep serving.  Plain field — it gates no
-          region accessor, so no generation bump; set by direct
-          assignment. *)
-  mutable flight_sample_shift : int;
-      (** Flight-recorder latency sampling: every [2^shift]-th find
-          records a measured begin/end pair, the rest a marker-only
-          event.  Default 4 (the historical 1/16 ratio); 0 measures
-          every find.  Plain field, set by direct assignment. *)
   mutable wear_heatmap : bool;
       (** Record the per-region spatial write heatmap (line-granularity
           shadow counts) on the instrumented persist path.  Off by
           default; plain field, set by direct assignment. *)
-  mutable heatmap_sample_shift : int;
-      (** Heatmap sampling: count every [2^shift]-th flushed line
-          (default 0 = exact).  Reported counts are scaled back by
-          [2^shift].  Plain field, set by direct assignment. *)
 }
 
 val default : unit -> t
 
-(** The live configuration, read by every simulator operation.
-
-    The instrumentation switches ([stats], [crash_tracking],
-    [delay_injection]) must be changed through the setters below, never
-    by direct field assignment: the setters bump {!mode_generation},
-    which is how regions learn that their cached fast/instrumented mode
-    witness is stale. *)
+(** The live configuration, read by every simulator operation. *)
 val current : t
 
-(** Generation counter of the instrumentation switches; bumped by
-    {!set_stats}, {!set_crash_tracking}, {!set_delay_injection},
-    {!set_tracing} and {!reset}.  Read per-access by {!Region}'s mode
-    witness check. *)
-val mode_generation : int ref
+(** {1 Instrumentation switches}
+
+    Readable by anyone, assignable only through the setters below (the
+    record is private), which keep the derived [fast] flag in step. *)
+
+type switches = private {
+  mutable stats : bool;  (** count line accesses (default on) *)
+  mutable crash_tracking : bool;
+      (** track dirty words for crash simulation (default on) *)
+  mutable delay_injection : bool;
+      (** busy-wait the modeled SCM latency on each miss (default off) *)
+  mutable tracing : bool;
+      (** record {!Pmtrace} events for pmcheck (default off) *)
+  mutable model_check : bool;
+      (** route the concurrency protocol through [Htm.Sched] (default
+          off) *)
+  mutable fast : bool;
+      (** derived: [stats], [crash_tracking], [delay_injection] and
+          [tracing] are all off, so every [Region] accessor takes its
+          fast path *)
+}
+
+val switches : switches
 
 (** Also flips {!Obs.Attrib}'s scope gate, so write-attribution scopes
     are live exactly when the counters they feed are. *)
@@ -93,6 +83,8 @@ val set_tracing : bool -> unit
     per shared access, nothing else changes. *)
 val set_model_check : bool -> unit
 
+(** Restore every field of {!current} and every switch to its
+    default. *)
 val reset : unit -> unit
 val set_latency : ?write_ns:float -> read_ns:float -> unit -> unit
 

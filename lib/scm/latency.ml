@@ -1,6 +1,6 @@
 (** Calibrated busy-wait used for optional latency injection.
 
-    When [Config.current.delay_injection] is set, every simulated SCM
+    When [Config.switches.delay_injection] is set, every simulated SCM
     cache miss spins for (scm latency - dram latency) nanoseconds, so
     end-to-end wall-clock runs feel the latency knob directly, like the
     paper's emulation platform.  The spin loop is calibrated once
@@ -57,9 +57,11 @@ let busy_wait_ns ns =
 (** Injected on each SCM read miss. *)
 let on_scm_read_miss () =
   let c = Config.current in
-  if c.delay_injection then busy_wait_ns (c.scm_read_ns -. c.dram_read_ns)
+  if Config.switches.delay_injection then
+    busy_wait_ns (c.scm_read_ns -. c.dram_read_ns)
 
 (** Injected on each SCM line write-back. *)
 let on_scm_write_back () =
   let c = Config.current in
-  if c.delay_injection then busy_wait_ns (c.scm_write_ns -. c.dram_read_ns)
+  if Config.switches.delay_injection then
+    busy_wait_ns (c.scm_write_ns -. c.dram_read_ns)

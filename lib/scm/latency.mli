@@ -1,5 +1,5 @@
 (** Calibrated busy-wait used for optional latency injection: when
-    [Config.current.delay_injection] is on, each simulated SCM miss
+    [Config.switches.delay_injection] is on, each simulated SCM miss
     spins for (SCM latency − DRAM latency), so wall-clock runs feel the
     latency knob like the paper's emulation platform. *)
 

@@ -1,7 +1,7 @@
 (* Persistent-memory event trace: the recorder behind the pmcheck
    sanitizer (PMTest / Yat style).
 
-   When [Config.current.tracing] is on, the simulator and the tree code
+   When [Config.switches.tracing] is on, the simulator and the tree code
    append one event per SCM store, flush, publication point, micro-log
    transition, and leaf-lock transition.  The recorder is deliberately
    dumb: a single mutex-protected growable array shared by all domains,
@@ -64,7 +64,7 @@ type event = {
   kind : kind;
 }
 
-let enabled () = Config.current.tracing
+let enabled () = Config.switches.tracing
 
 (* Hard cap so a forgotten [set_tracing true] cannot OOM a long run;
    overflow is counted, not silently ignored. *)

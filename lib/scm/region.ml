@@ -15,15 +15,14 @@
     called — which is precisely the programming hazard the FPTree's
     algorithms are built around.
 
-    {b Fast mode.}  When [Config.current] has [stats], [crash_tracking]
-    and [delay_injection] all off — the configuration of the paper's
+    {b Fast mode.}  When [stats], [crash_tracking], [delay_injection]
+    and [tracing] are all off — the configuration of the paper's
     throughput experiments — every accessor takes a specialized fast
     path: one span validation, then an unchecked [Bytes] access; no
     per-line simulated-cache probe and no per-word dirty-tracking
-    hashtable traffic.  The choice is made by a mode witness captured
-    per region and invalidated by {!Config.mode_generation}, so the
-    per-access cost of the mode decision is a single integer compare.
-    The instrumented path is the verbatim seed implementation, so
+    hashtable traffic.  The choice is one load of the global
+    [Config.switches.fast] flag, which the [Config] setters keep.  The
+    instrumented path is the verbatim seed implementation, so
     counter-producing runs are unaffected. *)
 
 type t = {
@@ -34,21 +33,16 @@ type t = {
   cache_tags : int array;
   (* word index -> persisted value, for words written since last flush. *)
   dirty : (int, int64) Hashtbl.t;
-  (* Mode witness: [fast] is valid while [mode_gen] equals
-     [!Config.mode_generation]. *)
-  mutable fast : bool;
-  mutable mode_gen : int;
   (* Spatial wear heatmap: shadow write counts (and the component
      bitmask of who wrote) per cache line, recorded in the instrumented
      flush loop when [Config.current.wear_heatmap] is on.  Allocated
      lazily on first recorded line ([size/64] words each, [[||]] until
      then).  Plain arrays written without synchronization: concurrent
      domains may lose individual increments, which is acceptable for a
-     (possibly sampled) spatial profile — the exactness invariant
-     belongs to the attribution matrix, not the heatmap. *)
+     spatial profile — exact counts belong to the attribution matrix,
+     not the heatmap. *)
   mutable heat_counts : int array;
   mutable heat_comps : int array;
-  mutable heat_tick : int;
 }
 
 let cache_slots = 8192 (* 8192 x 64B = 512 KiB simulated cache *)
@@ -62,11 +56,8 @@ let make ~id ~size =
     size;
     cache_tags = Array.make cache_slots (-1);
     dirty = Hashtbl.create 1024;
-    fast = false;
-    mode_gen = 0; (* Config.mode_generation starts at 1: refresh on first use *)
     heat_counts = [||];
     heat_comps = [||];
-    heat_tick = 0;
   }
 
 let id t = t.id
@@ -78,21 +69,8 @@ let check t off len =
       (Printf.sprintf "Region: out-of-bounds access off=%d len=%d size=%d"
          off len t.size)
 
-(* ---- mode witness ---- *)
-
-let refresh_mode t =
-  t.mode_gen <- !Config.mode_generation;
-  t.fast <-
-    (not Config.current.stats)
-    && (not Config.current.crash_tracking)
-    && (not Config.current.delay_injection)
-    && not Config.current.tracing
-
-(** [true] when the fast path applies; re-derives the witness only when
-    the configuration generation moved. *)
-let[@inline] fast_mode t =
-  if t.mode_gen <> !Config.mode_generation then refresh_mode t;
-  t.fast
+(** [true] when the fast path applies.  A global fact: [t] is unused. *)
+let[@inline] fast_mode (_ : t) = Config.switches.fast
 
 (* ---- unchecked byte-buffer primitives (fast path only; every use is
    preceded by a span validation via [check]) ---- *)
@@ -128,7 +106,7 @@ let[@inline] set_64_le b off v =
 (* ---- simulated cache ---- *)
 
 let touch_lines t off len =
-  if Config.current.stats then begin
+  if Config.switches.stats then begin
     let first = Cacheline.line_of_offset off in
     let last = Cacheline.line_of_offset (off + len - 1) in
     for line = first to last do
@@ -146,7 +124,7 @@ let touch_lines t off len =
 let word_value t w = Bytes.get_int64_le t.buf (w * Cacheline.word_size)
 
 let mark_dirty t off len =
-  if Config.current.crash_tracking then begin
+  if Config.switches.crash_tracking then begin
     let first = Cacheline.word_of_offset off in
     let last = Cacheline.word_of_offset (off + len - 1) in
     for w = first to last do
@@ -173,7 +151,7 @@ let tear_and_crash t off len do_store =
     1 + (Hashtbl.hash (Config.current.torn_seed, off, len) mod (len - 1))
   in
   Bytes.blit pre cut t.buf (off + cut) (len - cut);
-  if Config.current.crash_tracking then begin
+  if Config.switches.crash_tracking then begin
     let first = Cacheline.word_of_offset off in
     let last = Cacheline.word_of_offset (off + cut - 1) in
     for w = first to last do
@@ -207,7 +185,7 @@ let corrupt t ~off ~len ~bits ~seed =
 
 (* ---- pmcheck trace hooks (slow path only: tracing forces it) ---- *)
 
-let[@inline] tracing () = Config.current.tracing
+let[@inline] tracing () = Config.switches.tracing
 
 (* [silent] must be computed against the pre-store bytes; each write
    path below evaluates it before mutating the buffer. *)
@@ -357,7 +335,7 @@ let compare_string t off len s =
 
 let parallel_safe t =
   fast_mode t
-  && (not Config.current.model_check)
+  && (not Config.switches.model_check)
   && not (Config.injector_armed ())
 
 (* ---- writes (land in the volatile cache; durable only after persist) ---- *)
@@ -368,7 +346,7 @@ let parallel_safe t =
    before the store so the byte total is independent of injector
    state. *)
 let[@inline] count_store_bytes len =
-  if Config.current.stats then Stats.add_store_bytes len
+  if Config.switches.stats then Stats.add_store_bytes len
 
 let write_u8 t off v =
   if fast_mode t then begin
@@ -568,21 +546,14 @@ let[@inline never] heat_alloc t =
   t.heat_counts <- Array.make (heat_lines t) 0;
   t.heat_comps <- Array.make (heat_lines t) 0
 
-(* Count (a sample of) flushed lines: every [2^heatmap_sample_shift]-th
-   flushed line of this region bumps its shadow count and records the
-   ambient component in the line's bitmask.  Shift 0 (default) counts
-   every line exactly. *)
+(* Count a flushed line: bump its shadow count and record the ambient
+   component in the line's bitmask. *)
 let[@inline] record_heat t line =
   if Array.length t.heat_counts = 0 then heat_alloc t;
-  let tick = t.heat_tick + 1 in
-  t.heat_tick <- tick;
-  if tick land ((1 lsl Config.current.heatmap_sample_shift) - 1) = 0 then begin
-    Array.unsafe_set t.heat_counts line
-      (Array.unsafe_get t.heat_counts line + 1);
-    Array.unsafe_set t.heat_comps line
-      (Array.unsafe_get t.heat_comps line
-      lor (1 lsl Obs.Attrib.ambient_component ()))
-  end
+  Array.unsafe_set t.heat_counts line (Array.unsafe_get t.heat_counts line + 1);
+  Array.unsafe_set t.heat_comps line
+    (Array.unsafe_get t.heat_comps line
+    lor (1 lsl Obs.Attrib.ambient_component ()))
 
 (** The recorded heatmap as [(counts, component_masks)] per line, or
     [None] if nothing was recorded.  The arrays are the live backing
@@ -595,13 +566,12 @@ let clear_heatmap t =
   if Array.length t.heat_counts > 0 then begin
     Array.fill t.heat_counts 0 (Array.length t.heat_counts) 0;
     Array.fill t.heat_comps 0 (Array.length t.heat_comps) 0
-  end;
-  t.heat_tick <- 0
+  end
 
 (* ---- persistence primitives ---- *)
 
 let fence t =
-  if Config.current.stats then Stats.incr_fences ();
+  if Config.switches.stats then Stats.incr_fences ();
   if tracing () then Pmtrace.fence ~region:t.id
 
 (** Flush the cache lines overlapping [off, off+len) and fence: the
@@ -629,7 +599,7 @@ let persist_effective t off len =
     end
   end
   else begin
-    if Config.current.stats then begin
+    if Config.switches.stats then begin
       Stats.incr_persists ();
       Stats.incr_fences ()
     end;
@@ -637,7 +607,7 @@ let persist_effective t off len =
       let first = Cacheline.line_of_offset off in
       let last = Cacheline.line_of_offset (off + len - 1) in
       for line = first to last do
-        if Config.current.stats then begin
+        if Config.switches.stats then begin
           Stats.incr_flushes ();
           Stats.incr_line_writes ();
           if Config.current.wear_heatmap then record_heat t line
@@ -646,7 +616,7 @@ let persist_effective t off len =
         (* CLFLUSH evicts the line from the simulated cache. *)
         let slot = line mod cache_slots in
         if t.cache_tags.(slot) = line then t.cache_tags.(slot) <- -1;
-        if Config.current.crash_tracking then
+        if Config.switches.crash_tracking then
           (* Every word of the line is now durable. *)
           for w = line * Cacheline.words_per_line
               to (line + 1) * Cacheline.words_per_line - 1 do

@@ -6,12 +6,11 @@
     a power failure would lose).  The volatile view and the persistent
     image differ until {!persist} is called.
 
-    When [Config.current] has [stats], [crash_tracking] and
-    [delay_injection] all off, accessors switch to a fast path (one
-    span validation, then unchecked buffer access, no per-line or
-    per-word instrumentation).  The mode witness is captured per region
-    and refreshed only when {!Config.mode_generation} moves, so
-    instrumentation switches MUST go through the [Config] setters. *)
+    When [Config.switches.fast] is set ([stats], [crash_tracking],
+    [delay_injection] and [tracing] all off), accessors switch to a
+    fast path (one span validation, then unchecked buffer access, no
+    per-line or per-word instrumentation).  The mode decision is that
+    one global flag, kept by the [Config] setters. *)
 
 type t
 
@@ -118,8 +117,7 @@ val persist_all : t -> unit
 (** {1 Spatial wear heatmap}
 
     When [Config.current.wear_heatmap] is on, the instrumented flush
-    loop records (a sample of — see [Config.heatmap_sample_shift]) the
-    flushed lines in per-region shadow arrays: a write count and a
+    loop records every flushed line in per-region shadow arrays: a write count and a
     component bitmask (bit = [Obs.Attrib] component index) per cache
     line.  Unsynchronized by design: the spatial profile may lose
     increments under concurrent domains; exactness belongs to the

@@ -5,13 +5,11 @@
     the latency sweeps of Figures 7, 12 and 14 are reproduced without
     the paper's BIOS-level latency emulator.
 
-    The live counters are domain-sharded ({!Obs.Counter}): each domain
-    increments its own padded atomic slot, so totals are exact under
-    parallel benches — the seed's plain refs silently lost increments
-    there, which is why concurrent runs used to disable counting to
-    report wall-clock only.  The counters are also registered in the
-    {!Obs.Registry} (names [scm_*_total]), so a metrics dump carries
-    the same numbers, including the per-domain breakdown. *)
+    The counts live in the {!Obs.Attrib} (component × op) matrix,
+    which is domain-striped, so totals are exact under parallel
+    benches; every increment below charges the ambient matrix cell,
+    and the totals here are whole-matrix sums.  The registry exports
+    the same sums as [scm_*_total] counters. *)
 
 type snapshot = {
   line_reads : int;   (** SCM lines loaded on a simulated cache miss. *)
@@ -23,54 +21,21 @@ type snapshot = {
 
 let zero = { line_reads = 0; line_writes = 0; flushes = 0; fences = 0; persists = 0 }
 
-let line_reads_c =
-  Obs.Registry.counter "scm_line_reads_total"
-    ~help:"SCM lines loaded on simulated cache misses"
+module A = Obs.Attrib
 
-let line_writes_c =
-  Obs.Registry.counter "scm_line_writes_total"
-    ~help:"SCM lines written back by flushes"
-
-let flushes_c =
-  Obs.Registry.counter "scm_flushes_total" ~help:"CLFLUSH-equivalent calls"
-
-let fences_c =
-  Obs.Registry.counter "scm_fences_total" ~help:"MFENCE-equivalent calls"
-
-let persists_c =
-  Obs.Registry.counter "scm_persists_total"
-    ~help:"persist() calls (flush+fence pairs)"
+let[@inline] incr_line_reads () = A.incr A.q_line_reads
+let[@inline] incr_line_writes () = A.incr A.q_lines
+let[@inline] incr_flushes () = A.incr A.q_flushes
+let[@inline] incr_fences () = A.incr A.q_fences
 
 (* Payload bytes stored through the instrumented write paths — the
    numerator-side input of the wear report's write-amplification ratio
    (64 × line_writes / store_bytes).  Not part of {!snapshot}: the
    five-field record is pinned by the committed BENCH_hotpath.json
    counter traces. *)
-let store_bytes_c =
-  Obs.Registry.counter "scm_store_bytes_total"
-    ~help:"payload bytes stored through instrumented region writes"
+let[@inline] add_store_bytes n = A.add A.q_bytes n
 
-(* Each increment below also charges the ambient (component, op) cell
-   of the {!Obs.Attrib} matrix, same call, same count — which is why
-   matrix sums equal these globals exactly. *)
-
-let[@inline] incr_line_reads () = Obs.Counter.incr line_reads_c
-
-let[@inline] incr_line_writes () =
-  Obs.Counter.incr line_writes_c;
-  Obs.Attrib.add_line ()
-
-let[@inline] incr_flushes () =
-  Obs.Counter.incr flushes_c;
-  Obs.Attrib.add_flush ()
-
-let[@inline] incr_fences () = Obs.Counter.incr fences_c
-
-let[@inline] add_store_bytes n =
-  Obs.Counter.add store_bytes_c n;
-  Obs.Attrib.add_bytes n
-
-let store_bytes () = Obs.Counter.value store_bytes_c
+let store_bytes () = A.total A.q_bytes
 
 (* Persist-batch markers for the flight recorder: one event per
    [persist_batch_window] persists on the calling domain, so a crash
@@ -81,28 +46,18 @@ let store_bytes () = Obs.Counter.value store_bytes_c
 let persist_batch_window = 256
 
 let[@inline] incr_persists () =
-  Obs.Counter.incr persists_c;
-  Obs.Attrib.add_persist ();
+  A.incr A.q_persists;
   if Obs.Gate.enabled () then
     Obs.Flight.persist_tick ~batch:persist_batch_window
 
-let reset () =
-  Obs.Counter.reset line_reads_c;
-  Obs.Counter.reset line_writes_c;
-  Obs.Counter.reset flushes_c;
-  Obs.Counter.reset fences_c;
-  Obs.Counter.reset persists_c;
-  Obs.Counter.reset store_bytes_c;
-  (* Keep the attribution matrix in lock-step with the globals it must
-     sum to: one reset epoch for both. *)
-  Obs.Attrib.reset ()
+let reset = A.reset
 
 let snapshot () = {
-  line_reads = Obs.Counter.value line_reads_c;
-  line_writes = Obs.Counter.value line_writes_c;
-  flushes = Obs.Counter.value flushes_c;
-  fences = Obs.Counter.value fences_c;
-  persists = Obs.Counter.value persists_c;
+  line_reads = A.total A.q_line_reads;
+  line_writes = A.total A.q_lines;
+  flushes = A.total A.q_flushes;
+  fences = A.total A.q_fences;
+  persists = A.total A.q_persists;
 }
 
 let diff a b = {

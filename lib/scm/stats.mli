@@ -12,11 +12,8 @@ type snapshot = {
 
 val zero : snapshot
 
-(* Live counters are domain-sharded (Obs.Counter): exact totals both
-   single-threaded AND under parallel domains — concurrent benches no
-   longer need to disable counting to avoid lost increments.  They are
-   registered in Obs.Registry as scm_*_total, so a metrics dump shows
-   the same values with a per-domain shard breakdown. *)
+(** Each increment charges the ambient {!Obs.Attrib} matrix cell; the
+    matrix is the only copy of these counts. *)
 val incr_line_reads : unit -> unit
 val incr_line_writes : unit -> unit
 val incr_flushes : unit -> unit
@@ -27,12 +24,15 @@ val incr_persists : unit -> unit
     the wear report's write-amplification denominator.  Charged to the
     Obs.Attrib matrix like the counters above, but deliberately NOT
     part of {!snapshot} (that record is pinned by committed bench
-    traces).  Registered as [scm_store_bytes_total]. *)
+    traces).  Exported as [scm_store_bytes_total]. *)
 val add_store_bytes : int -> unit
 
 val store_bytes : unit -> int
 
+(** Zero the counts: resets the whole {!Obs.Attrib} matrix. *)
 val reset : unit -> unit
+
+(** Whole-matrix sums of the five counted quantities. *)
 val snapshot : unit -> snapshot
 val diff : snapshot -> snapshot -> snapshot
 val add : snapshot -> snapshot -> snapshot

@@ -17,25 +17,20 @@
       over touched lines (0 = perfectly even wear, →1 = a few lines
       absorb everything — the endurance hazard).
     - {b hottest lines}: top-k by write count, each with the bitmask
-      of components that wrote it.
-
-    The heatmap may be sampled ([Config.heatmap_sample_shift]); counts
-    here are reported {e as recorded} (callers scale by [2^shift] when
-    they need absolute estimates), and the report carries the shift. *)
+      of components that wrote it. *)
 
 type line_stat = { line : int; count : int; comps : int }
 
 type report = {
   store_bytes : int;       (* payload bytes stored, instrumented paths *)
-  line_writes : int;       (* lines flushed (global counter) *)
+  line_writes : int;       (* lines flushed (matrix total) *)
   flushes : int;
   persists : int;
   write_amplification : float;  (* 64 * line_writes / store_bytes *)
   lines_touched : int;     (* heatmap lines with a non-zero count *)
-  max_line_writes : int;   (* heatmap counts, as recorded (sampled) *)
+  max_line_writes : int;   (* heatmap counts *)
   mean_line_writes : float;
   gini : float;            (* skew over touched lines; 0 = even *)
-  sample_shift : int;      (* heatmap_sample_shift at report time *)
   top : line_stat list;    (* hottest lines, descending count *)
 }
 
@@ -117,45 +112,8 @@ let report ?(k = 10) region =
       (if !touched = 0 then 0.
        else float_of_int !sumc /. float_of_int !touched);
     gini = gini !nonzero;
-    sample_shift = Config.current.heatmap_sample_shift;
     top = top_k ~k counts comps;
   }
-
-(* ---- exactness cross-check: matrix sums vs the global counters ---- *)
-
-type check_row = { quantity : string; global : int; matrix : int }
-
-(** The headline invariant: each whole-matrix sum must equal its global
-    [scm_*_total] counter {e exactly} (both are charged by the same
-    [Stats] increment).  Any drift means an attribution charge was
-    dropped or double-counted — tests and the bench_check [wear] stage
-    fail on it. *)
-let crosscheck () =
-  let s = Stats.snapshot () in
-  [
-    {
-      quantity = "store_bytes";
-      global = Stats.store_bytes ();
-      matrix = Obs.Attrib.(total q_bytes);
-    };
-    {
-      quantity = "line_writes";
-      global = s.Stats.line_writes;
-      matrix = Obs.Attrib.(total q_lines);
-    };
-    {
-      quantity = "flushes";
-      global = s.Stats.flushes;
-      matrix = Obs.Attrib.(total q_flushes);
-    };
-    {
-      quantity = "persists";
-      global = s.Stats.persists;
-      matrix = Obs.Attrib.(total q_persists);
-    };
-  ]
-
-let crosscheck_ok rows = List.for_all (fun r -> r.global = r.matrix) rows
 
 (* ---- heatmap JSON (sparse; round-trips through Obs.Json.parse) ---- *)
 
@@ -186,7 +144,6 @@ let heatmap_to_json region =
     [
       ("region", Obs.Json.Int (Region.id region));
       ("lines", Obs.Json.Int (Region.heat_lines region));
-      ("sample_shift", Obs.Json.Int Config.current.heatmap_sample_shift);
       ("cells", Obs.Json.Arr cells);
     ]
 
@@ -239,9 +196,9 @@ let pp_report ppf r =
      persists            %d@,\
      write_amplification %.3f@,\
      lines_touched       %d@,\
-     max/mean line writes %d / %.2f  (sample_shift %d)@,\
+     max/mean line writes %d / %.2f@,\
      gini                %.4f@]"
     r.store_bytes r.line_writes
     (Cacheline.line_size * r.line_writes)
     r.flushes r.persists r.write_amplification r.lines_touched
-    r.max_line_writes r.mean_line_writes r.sample_shift r.gini
+    r.max_line_writes r.mean_line_writes r.gini

@@ -12,14 +12,14 @@ module Tree = Fptree.Tree
 
 let n_domains = max 2 (min 8 (Domain.recommended_domain_count () - 1))
 
-let setup () =
+let setup ?(m = 8) () =
   Scm.Registry.clear ();
   Scm.Config.reset ();
   Scm.Stats.reset ();
   Scm.Config.set_crash_tracking false;
   Scm.Config.set_stats false;
   let a = Pmem.Palloc.create ~size:(256 * 1024 * 1024) () in
-  (a, F.create_concurrent ~m:8 a)
+  (a, F.create_concurrent ~m a)
 
 let spawn_all f =
   let ds = List.init n_domains (fun d -> Domain.spawn (fun () -> f d)) in
@@ -172,6 +172,60 @@ let test_range_during_writes_is_sane () =
   Atomic.set stop true;
   Domain.join writer
 
+(* Writers split (and, deleting their keys again, merge) leaves inside
+   the scanned interval while the reader scans it.  A scan that reads a
+   leaf's bitmap before a split and its next pointer after it returns
+   the leaf's upper half twice. *)
+let test_range_during_splits () =
+  let _, t = setup ~m:32 () in
+  let n = 4000 in
+  (* stable keys: multiples of 4, present for the whole run *)
+  for k = 0 to (n / 4) - 1 do
+    ignore (F.insert t (k * 4) k)
+  done;
+  let writers = 3 and rounds = 300 in
+  let running = Atomic.make writers in
+  let ds =
+    List.init writers (fun w ->
+        Domain.spawn (fun () ->
+            let rng = Random.State.make [| w |] in
+            let keys =
+              Array.init (n / 4) (fun i -> (i * 4) + 1 + ((i + w) mod 3))
+            in
+            for _ = 1 to rounds do
+              for i = Array.length keys - 1 downto 1 do
+                let j = Random.State.int rng (i + 1) in
+                let x = keys.(i) in
+                keys.(i) <- keys.(j);
+                keys.(j) <- x
+              done;
+              Array.iter (fun k -> ignore (F.insert t k k)) keys;
+              Array.iter (fun k -> ignore (F.delete t k)) keys
+            done;
+            Atomic.decr running))
+  in
+  let lo = 400 and hi = n - 400 in
+  let scans = ref 0 in
+  while Atomic.get running > 0 || !scans < 10 do
+    incr scans;
+    let r = F.range t ~lo ~hi in
+    let prev = ref (lo - 1) and stable = ref 0 in
+    List.iter
+      (fun (k, _) ->
+        if k <= !prev then
+          Alcotest.failf "scan %d: key %d after %d (not strictly increasing)"
+            !scans k !prev;
+        if k < lo || k > hi then Alcotest.failf "scan %d: key %d out of range" !scans k;
+        if k mod 4 = 0 then incr stable;
+        prev := k)
+      r;
+    let expected = ((hi - lo) / 4) + 1 in
+    if !stable <> expected then
+      Alcotest.failf "scan %d: %d of %d stable keys" !scans !stable expected
+  done;
+  List.iter Domain.join ds;
+  F.check_invariants t
+
 let test_recovery_after_concurrent_run () =
   let a, t = setup () in
   let per = 2000 in
@@ -223,6 +277,7 @@ let () =
           Alcotest.test_case "concurrent whole-leaf deletes" `Quick
             test_concurrent_whole_leaf_deletes;
           Alcotest.test_case "range during writes" `Quick test_range_during_writes_is_sane;
+          Alcotest.test_case "range during splits" `Quick test_range_during_splits;
         ] );
       ( "recovery",
         [

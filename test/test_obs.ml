@@ -144,13 +144,25 @@ let test_registry_roundtrip () =
     (contains txt "test_rt_us_sum 5050")
 
 let test_span_capture () =
-  Obs.Trace.clear ();
-  Obs.Trace.with_span "test.span" (fun () -> ignore (Sys.opaque_identity 1));
-  match List.rev (Obs.Trace.dump ()) with
-  | s :: _ ->
-    Alcotest.(check string) "span name" "test.span" s.Obs.Trace.name;
-    Alcotest.(check bool) "span duration >= 0" true (s.Obs.Trace.dur_us >= 0.)
-  | [] -> Alcotest.fail "span not recorded"
+  let self = (Domain.self () :> int) in
+  let spans () =
+    List.filter
+      (fun (e : Obs.Flight.event) ->
+        e.tag = Obs.Event.span && e.dom = self
+        && Obs.Flight.name_of e.a = "test.span")
+      (Obs.Flight.drain ())
+  in
+  Obs.Flight.reset ();
+  Obs.Gate.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Gate.set_enabled false) (fun () ->
+      Obs.Flight.with_span "test.span" (fun () ->
+          ignore (Sys.opaque_identity 1)));
+  (match spans () with
+  | [ s ] -> Alcotest.(check bool) "span duration >= 0" true (s.b >= 0)
+  | l -> Alcotest.failf "expected one span, got %d" (List.length l));
+  (* with the gate off nothing is recorded *)
+  Obs.Flight.with_span "test.span" (fun () -> ignore (Sys.opaque_identity 1));
+  Alcotest.(check int) "no span with the gate off" 1 (List.length (spans ()))
 
 (* ---- tree wiring: probe-count regression (Fig. 4) ---- *)
 

@@ -374,18 +374,21 @@ let test_restart_failure_joins_all () =
   let self = (Domain.self () :> int) in
   List.iter
     (fun workers ->
-      Obs.Trace.clear ();
-      Alcotest.check_raises
-        (Printf.sprintf "workers:%d: the caller's failure" workers)
-        (Failure "Tree.recover: no tree in region")
-        (fun () -> ignore (Tatp.restart ~workers db));
+      Obs.Flight.reset ();
+      Obs.Gate.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.Gate.set_enabled false) (fun () ->
+          Alcotest.check_raises
+            (Printf.sprintf "workers:%d: the caller's failure" workers)
+            (Failure "Tree.recover: no tree in region")
+            (fun () -> ignore (Tatp.restart ~workers db)));
       let helper_rebuilds =
         List.length
           (List.filter
-             (fun (s : Obs.Trace.span) ->
-               s.Obs.Trace.name = "fptree.recovery.rebuild"
-               && s.Obs.Trace.domain <> self)
-             (Obs.Trace.dump ()))
+             (fun (e : Obs.Flight.event) ->
+               e.tag = Obs.Event.span
+               && Obs.Flight.name_of e.a = "fptree.recovery.rebuild"
+               && e.dom <> self)
+             (Obs.Flight.drain ()))
       in
       let d = restart_domains workers in
       Alcotest.(check int)

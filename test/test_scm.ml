@@ -132,6 +132,69 @@ let test_modeled_time () =
   let flat = Scm.Stats.modeled_extra_ns ~read_ns:90. s in
   Alcotest.(check (float 0.01)) "at DRAM latency no extra" 0. flat
 
+(* ---- the fast-mode flag ---- *)
+
+(* The fast path is one global flag the setters derive from the four
+   region switches.  Each switch is turned on alone from fast mode,
+   then all are off, then [Config.reset]; after every step a region
+   made before the first flip and one made after the step must both
+   take the path the switches ask for. *)
+let test_fast_flag_follows_switches () =
+  let early = fresh () in
+  let line = ref 0 in
+  let check step =
+    let sw = Config.switches in
+    let fast =
+      not Config.(sw.stats || sw.crash_tracking || sw.delay_injection || sw.tracing)
+    in
+    let late = Scm.Registry.create ~size:4096 in
+    List.iter
+      (fun (name, r) ->
+        let ctx what = Printf.sprintf "%s, %s region: %s" step name what in
+        Alcotest.(check bool) (ctx "parallel_safe") fast (Region.parallel_safe r);
+        (* a read of an untouched line and a store to it *)
+        let off = 64 * (!line mod (Region.size r / 64)) in
+        incr line;
+        let s0 = Scm.Stats.snapshot () and ev0 = Scm.Pmtrace.size () in
+        ignore (Region.read_word r off);
+        let dirty0 = Region.dirty_word_count r in
+        Region.write_word r off 1;
+        Alcotest.(check bool) (ctx "line read counted") sw.Config.stats
+          ((Scm.Stats.snapshot ()).Scm.Stats.line_reads > s0.Scm.Stats.line_reads);
+        Alcotest.(check bool) (ctx "store tracked dirty") sw.Config.crash_tracking
+          (Region.dirty_word_count r > dirty0);
+        Alcotest.(check bool) (ctx "store traced") sw.Config.tracing
+          (Scm.Pmtrace.size () > ev0))
+      [ ("early", early); ("late", late) ];
+    Alcotest.(check bool) (step ^ ": fast flag") fast sw.Config.fast;
+    Alcotest.(check bool) (step ^ ": attribution gate") sw.Config.stats
+      (Obs.Attrib.enabled ())
+  in
+  let all_off () =
+    Config.set_stats false;
+    Config.set_crash_tracking false;
+    Config.set_delay_injection false;
+    Config.set_tracing false
+  in
+  all_off ();
+  check "all off";
+  List.iter
+    (fun (name, set) ->
+      set true;
+      check (name ^ " alone");
+      set false;
+      check (name ^ " off again"))
+    [ ("stats", Config.set_stats); ("crash_tracking", Config.set_crash_tracking);
+      ("delay_injection", Config.set_delay_injection);
+      ("tracing", Config.set_tracing) ];
+  Config.set_stats true;
+  Config.set_tracing true;
+  all_off ();
+  check "all off after two on";
+  Config.reset ();
+  check "reset";
+  Scm.Pmtrace.clear ()
+
 let test_crash_injection () =
   let r = fresh () in
   Config.schedule_crash_after 2;
@@ -253,6 +316,8 @@ let () =
           Alcotest.test_case "line miss counting" `Quick test_stats_counts_line_misses;
           Alcotest.test_case "flush counting" `Quick test_stats_flush_counts;
           Alcotest.test_case "modeled time" `Quick test_modeled_time;
+          Alcotest.test_case "fast flag follows the switches" `Quick
+            test_fast_flag_follows_switches;
         ] );
       ( "durability",
         [ Alcotest.test_case "save/load round-trip" `Quick test_save_load_roundtrip ] );
